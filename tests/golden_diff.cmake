@@ -21,6 +21,9 @@ if(NOT exit_code EQUAL 0)
 endif()
 
 foreach(artifact stdout annotated.c parspec premap dot)
+  if(NOT EXISTS "${GOLDEN_DIR}/pipeline.${artifact}")
+    message(FATAL_ERROR "golden file missing: ${GOLDEN_DIR}/pipeline.${artifact}")
+  endif()
   execute_process(
     COMMAND "${CMAKE_COMMAND}" -E compare_files
             "${GOLDEN_DIR}/pipeline.${artifact}" "${WORK_DIR}/pipeline.${artifact}"
