@@ -23,9 +23,10 @@
 //                    dense inverse pays O(m^2) per iteration regardless.
 //
 //   DenseInverseFactor  the seed's explicit dense inverse (Gauss-Jordan
-//                    refactorization, rank-1 pivot updates). Kept for one
-//                    release behind SolverEngine::Dense as the differential
-//                    oracle for the revised engine.
+//                    refactorization, rank-1 pivot updates). Kept behind
+//                    SolverEngine::Dense as the test-only differential
+//                    oracle for the revised engine; nothing in the tool
+//                    flow selects it.
 #pragma once
 
 #include <algorithm>

@@ -126,10 +126,11 @@ class Model {
   Sense sense_ = Sense::Minimize;
 };
 
-/// LP engine underneath branch and bound. `Revised` is the production
-/// sparse revised simplex (LU factors + eta updates); `Dense` keeps the
-/// seed's explicit dense inverse for one release as the differential
-/// oracle (see DESIGN.md "LP engine").
+/// LP engine underneath branch and bound. `Revised` is the sparse revised
+/// simplex (LU factors + eta updates) that the parallelizer always uses;
+/// `Dense` keeps the seed's explicit dense inverse as a test-only
+/// differential oracle, selected only by tests, `bench/ablation_solver` and
+/// the fuzzer's solver-differential relation (see DESIGN.md "LP engine").
 enum class SolverEngine : std::uint8_t { Revised, Dense };
 
 /// Solver knobs. Defaults suit the parallelizer's many small ILPs.

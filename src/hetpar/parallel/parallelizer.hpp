@@ -14,9 +14,10 @@
 // parallelism (see DESIGN.md "Concurrency model"): sibling subtrees are
 // independent, so nodes are scheduled as a bottom-up wavefront, and within a
 // node the per-(mode, seqPC) sweep lanes are independent given the phase's
-// starting bound, so they fan out across a thread pool. Results are merged
-// in the canonical (mode, seqPC, budget) order regardless of completion
-// order, which makes every jobs count produce the identical outcome.
+// starting bound, so they fan out across a thread pool (jobs=1 drains the
+// same wavefront on the calling thread). Results are merged in the canonical
+// (mode, seqPC, budget) order regardless of completion order, which makes
+// every jobs count produce the identical outcome.
 #pragma once
 
 #include <memory>
@@ -46,9 +47,6 @@ struct ParallelizerOptions {
   /// Per-ILP solver limits.
   double ilpTimeLimitSeconds = 20.0;
   long long ilpMaxNodes = 400'000;
-  /// LP engine underneath branch and bound (Revised = sparse LU production
-  /// engine; Dense = the seed's explicit inverse, kept as an oracle).
-  ilp::SolverEngine solverEngine = ilp::SolverEngine::Revised;
   /// Enables the LoopChunked mode (ablation hook).
   bool enableChunking = true;
   /// Enables combining nested candidates (ablation hook: when false, only
@@ -57,9 +55,9 @@ struct ParallelizerOptions {
   /// Menu cap per (node, class): sequential + the fastest others. Keeps the
   /// parent ILPs' p-dimension small.
   int maxCandidatesPerClass = 3;
-  /// Solver worker threads. 1 runs fully sequentially (no pool); values < 1
-  /// resolve to the hardware concurrency. Any value yields the identical
-  /// outcome — only wall-clock time changes.
+  /// Solver worker threads. 1 runs the wavefront on the calling thread (no
+  /// pool); values < 1 resolve to the hardware concurrency. Any value yields
+  /// the identical outcome — only wall-clock time changes.
   int jobs = 1;
   /// Memoizes ILP solves across structurally identical regions.
   bool enableRegionCache = true;
@@ -129,11 +127,9 @@ class Parallelizer {
                      double bestStartSeconds, const std::vector<ParallelSet>& sets,
                      IlpRegionCache* cache) const;
 
-  void runSequential(const std::vector<htg::NodeId>& order, std::vector<ParallelSet>& sets,
-                     std::vector<IlpStatistics>& nodeStats, IlpRegionCache* cache) const;
-  void runConcurrent(int jobs, const std::vector<htg::NodeId>& order,
-                     const std::vector<htg::NodeId>& parent, std::vector<ParallelSet>& sets,
-                     std::vector<IlpStatistics>& nodeStats, IlpRegionCache* cache) const;
+  void runWavefront(int jobs, const std::vector<htg::NodeId>& order,
+                    const std::vector<htg::NodeId>& parent, std::vector<ParallelSet>& sets,
+                    std::vector<IlpStatistics>& nodeStats, IlpRegionCache* cache) const;
   void processNode(RunState& rs, htg::NodeId id) const;
   void startPhase(RunState& rs, htg::NodeId id) const;
   void completePhase(RunState& rs, htg::NodeId id) const;
@@ -148,10 +144,8 @@ class Parallelizer {
                             int maxProcs) const;
   ChunkRegion buildChunkRegion(htg::NodeId id, const std::vector<ParallelSet>& sets,
                                ClassId seqPC, int maxProcs) const;
-  SolutionCandidate decodeTaskParallel(const htg::Node& node, const IlpRegion& region,
-                                       const IlpParResult& r) const;
-  SolutionCandidate decodeChunked(const htg::Node& node, const ChunkResult& r,
-                                  ClassId seqPC) const;
+  SolutionCandidate decodeTaskParallel(const IlpRegion& region, const IlpParResult& r) const;
+  SolutionCandidate decodeChunked(const ChunkResult& r, ClassId seqPC) const;
 
   const htg::Graph& graph_;
   const cost::TimingModel& timing_;

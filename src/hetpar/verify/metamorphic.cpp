@@ -65,14 +65,6 @@ ilp::SolveOptions deterministicSolverOptions() {
   return so;
 }
 
-/// Same, but honoring the LP engine the caller configured (regression
-/// replays re-run every region relation under both engines).
-ilp::SolveOptions deterministicSolverOptions(const MetamorphicOptions& options) {
-  ilp::SolveOptions so = deterministicSolverOptions();
-  so.engine = options.parallelizer.solverEngine;
-  return so;
-}
-
 // ---------------------------------------------------------------------------
 // Program-level relations
 // ---------------------------------------------------------------------------
@@ -727,7 +719,7 @@ RelationResult checkFlowRefinement(const std::string& source) {
 RelationResult checkGaVsIlp(std::uint64_t seed, const MetamorphicOptions& options) {
   Rng rng(seed);
   const parallel::IlpRegion region = randomTinyRegion(rng);
-  ilp::BranchAndBoundSolver solver(deterministicSolverOptions(options));
+  ilp::BranchAndBoundSolver solver(deterministicSolverOptions());
   const parallel::IlpParResult ilp = parallel::solveIlpPar(region, solver);
   if (!ilp.feasible || !ilp.provenOptimal)
     return skip(Relation::GaVsIlp, "ILP did not prove optimality within limits");
@@ -748,7 +740,7 @@ RelationResult checkGaVsIlp(std::uint64_t seed, const MetamorphicOptions& option
 RelationResult checkOracleTask(std::uint64_t seed, const MetamorphicOptions& options) {
   Rng rng(seed);
   const parallel::IlpRegion region = randomTinyRegion(rng);
-  ilp::BranchAndBoundSolver solver(deterministicSolverOptions(options));
+  ilp::BranchAndBoundSolver solver(deterministicSolverOptions());
   const parallel::IlpParResult ilp = parallel::solveIlpPar(region, solver);
   const OracleResult oracle = bruteForceTask(region);
   if (!oracle.feasible)
@@ -772,7 +764,7 @@ RelationResult checkOracleTask(std::uint64_t seed, const MetamorphicOptions& opt
 RelationResult checkOracleChunk(std::uint64_t seed, const MetamorphicOptions& options) {
   Rng rng(seed);
   const parallel::ChunkRegion region = randomTinyChunkRegion(rng);
-  ilp::BranchAndBoundSolver solver(deterministicSolverOptions(options));
+  ilp::BranchAndBoundSolver solver(deterministicSolverOptions());
   const parallel::ChunkResult ilp = parallel::solveChunkIlp(region, solver);
   const OracleResult oracle = bruteForceChunk(region);
   if (!oracle.feasible)

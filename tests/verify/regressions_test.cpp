@@ -13,7 +13,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "hetpar/platform/parser.hpp"
@@ -27,14 +26,6 @@ namespace hetpar {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Every repro is replayed once per LP engine: a fixed bug must stay fixed
-// under the production revised simplex AND the dense differential oracle
-// (a regression that only reproduces under one engine is still a bug).
-const std::pair<ilp::SolverEngine, const char*> kEngines[] = {
-    {ilp::SolverEngine::Revised, "revised"},
-    {ilp::SolverEngine::Dense, "dense"},
-};
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path);
@@ -75,14 +66,8 @@ TEST(RegressionsTest, AllCommittedReprosPass) {
         verify::parseRelations(relationOf(entry.path()));
     ASSERT_EQ(relations.size(), 1u) << entry.path();
 
-    for (const auto& [engine, engineName] : kEngines) {
-      verify::MetamorphicOptions options;
-      options.parallelizer.solverEngine = engine;
-      const verify::RelationResult result =
-          verify::checkProgramRelation(relations[0], source, pf, options);
-      EXPECT_TRUE(result.passed || result.skipped)
-          << entry.path() << " (" << engineName << "): " << result.detail;
-    }
+    const verify::RelationResult result = verify::checkProgramRelation(relations[0], source, pf);
+    EXPECT_TRUE(result.passed || result.skipped) << entry.path() << ": " << result.detail;
     ++replayed;
   }
   // Empty directory = nothing to replay; that is a pass, not a failure.
@@ -105,14 +90,8 @@ TEST(RegressionsTest, AllCommittedSeedReprosPass) {
     ASSERT_FALSE(verify::isProgramRelation(relations[0]))
         << entry.path() << ": .seed fixtures are for region-level relations";
 
-    for (const auto& [engine, engineName] : kEngines) {
-      verify::MetamorphicOptions options;
-      options.parallelizer.solverEngine = engine;
-      const verify::RelationResult result =
-          verify::checkRegionRelation(relations[0], seed, options);
-      EXPECT_TRUE(result.passed || result.skipped)
-          << entry.path() << " (" << engineName << "): " << result.detail;
-    }
+    const verify::RelationResult result = verify::checkRegionRelation(relations[0], seed);
+    EXPECT_TRUE(result.passed || result.skipped) << entry.path() << ": " << result.detail;
     ++replayed;
   }
   RecordProperty("seedReplayed", replayed);

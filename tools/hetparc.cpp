@@ -34,9 +34,6 @@
 //   --jobs <n>              solver threads; in batch mode, concurrent
 //                           programs (0 = all hardware threads; default 1;
 //                           the outcome is identical for any n)
-//   --solver <engine>       LP engine: revised (default; sparse LU with eta
-//                           updates) or dense (the explicit-inverse oracle,
-//                           kept for differential checks)
 //   --batch <dir>           compile every *.c file under <dir> (sorted)
 //   --programs <f>...       compile the listed files (all later positional
 //                           arguments are inputs)
@@ -84,7 +81,6 @@ struct Options {
   std::string emitDot;
   std::string depMode = "conservative";
   std::string flowMode = "conservative";
-  std::string solver = "revised";
   std::string cacheDir;
   bool diagnose = false;
   bool dumpLive = false;
@@ -107,7 +103,6 @@ void usage() {
                "  --dep-mode conservative|affine  --flow-mode conservative|live\n"
                "  --diagnose  --dump-live  --dump-deps\n"
                "  --simulate  --baseline  --stats  --seq-only  --jobs <n>\n"
-               "  --solver revised|dense\n"
                "  --batch <dir>  --programs <f>...  --cache-dir <dir>  --explain-timings\n");
 }
 
@@ -152,13 +147,6 @@ bool parseArgs(int argc, char** argv, Options& opts) {
       opts.flowMode = value;
       if (opts.flowMode != "conservative" && opts.flowMode != "live") {
         std::fprintf(stderr, "hetparc: --flow-mode expects 'conservative' or 'live'\n");
-        return false;
-      }
-    } else if (arg == "--solver") {
-      if ((value = needValue(i)) == nullptr) return false;
-      opts.solver = value;
-      if (opts.solver != "revised" && opts.solver != "dense") {
-        std::fprintf(stderr, "hetparc: --solver expects 'revised' or 'dense'\n");
         return false;
       }
     } else if (arg == "--diagnose") {
@@ -373,9 +361,6 @@ int runSingle(const Options& opts) {
   inputs.depMode = depMode;
   inputs.flowMode = flowMode;
   inputs.parallelizer.jobs = opts.jobs;
-  inputs.parallelizer.solverEngine = opts.solver == "dense"
-                                         ? ilp::SolverEngine::Dense
-                                         : ilp::SolverEngine::Revised;
   inputs.artifactCache = openCache(opts);
   pipeline::Session session(std::move(inputs));
 
@@ -470,9 +455,6 @@ int runBatchMode(const Options& opts) {
                                             : ir::FlowMode::Conservative;
   config.parallelizer.dependenceMode = config.depMode;
   config.parallelizer.flowMode = config.flowMode;
-  config.parallelizer.solverEngine = opts.solver == "dense"
-                                         ? ilp::SolverEngine::Dense
-                                         : ilp::SolverEngine::Revised;
   config.simulate = opts.simulate;
   config.workers = opts.jobs;
   config.artifactCache = openCache(opts);
