@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace hetpar::ilp {
 namespace {
@@ -288,10 +289,7 @@ Model degenerateAssignment() {
   return m;  // diagonal assignment: objective 3
 }
 
-class AdversarialSweep : public ::testing::TestWithParam<AdversarialCase> {};
-
-TEST_P(AdversarialSweep, BothEnginesReachKnownOptimum) {
-  const AdversarialCase& c = GetParam();
+void expectBothEnginesReach(const AdversarialCase& c) {
   const Model m = c.build();
   for (SolverEngine engine : {SolverEngine::Revised, SolverEngine::Dense}) {
     const LpResult r = relaxWith(m, engine);
@@ -306,12 +304,14 @@ TEST_P(AdversarialSweep, BothEnginesReachKnownOptimum) {
   }
 }
 
+class AdversarialSweep : public ::testing::TestWithParam<AdversarialCase> {};
+
+TEST_P(AdversarialSweep, BothEnginesReachKnownOptimum) { expectBothEnginesReach(GetParam()); }
+
 INSTANTIATE_TEST_SUITE_P(
     Corpus, AdversarialSweep,
     ::testing::Values(AdversarialCase{"beale-cycling", &bealeCycling, -0.05, 1e-9},
                       AdversarialCase{"near-singular-rows", &nearSingularRows, -1.0, 1e-5},
-                      AdversarialCase{"large-scale", &largeScale, 1.0, 1e-4},
-                      AdversarialCase{"mixed-scale", &mixedScale, 1.0 - 1e-8, 1e-6},
                       AdversarialCase{"degenerate-assignment", &degenerateAssignment, 3.0,
                                       1e-6}),
     [](const ::testing::TestParamInfo<AdversarialCase>& info) {
@@ -320,6 +320,28 @@ INSTANTIATE_TEST_SUITE_P(
         if (ch == '-') ch = '_';
       return n;
     });
+
+// The badly scaled cases, parameterized by index into this table so the
+// printed parameter (and with it the test name) does not hold raw pointer
+// bytes, which change with the load address from run to run.
+const AdversarialCase kScaleCases[] = {
+    {"large-scale", &largeScale, 1.0, 1e-4},
+    {"mixed-scale", &mixedScale, 1.0 - 1e-8, 1e-6},
+};
+
+class ScaleSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScaleSweep, BothEnginesReachKnownOptimum) {
+  expectBothEnginesReach(kScaleCases[GetParam()]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, ScaleSweep, ::testing::Range(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           std::string n = kScaleCases[info.param].name;
+                           for (char& ch : n)
+                             if (ch == '-') ch = '_';
+                           return n;
+                         });
 
 // An 80-row chained system needs well over 80 pivots; the product-form eta
 // file must overflow its cap (clamp(m, 32, 160)) mid-solve and trigger at
