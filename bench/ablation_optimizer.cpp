@@ -60,9 +60,7 @@ int main() {
       const IlpRegion region = randomRegion(children, 3, seed);
 
       const auto t0 = std::chrono::steady_clock::now();
-      ilp::SolveOptions so;
-      so.timeLimitSeconds = 30;
-      ilp::BranchAndBoundSolver solver(so);
+      ilp::BranchAndBoundSolver solver;
       const IlpParResult ilpRes = solveIlpPar(region, solver);
       const double ilpSec =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

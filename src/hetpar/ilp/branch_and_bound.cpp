@@ -56,9 +56,6 @@ struct BnbNode {
 Solution BranchAndBoundSolver::solve(const Model& model) {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
-  auto elapsed = [&] {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
 
   stats_ = SolveStats{};
   stats_.numVars = model.numVars();
@@ -98,7 +95,8 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
   const double intTol = options_.integralityTol;
 
   while (!stack.empty()) {
-    if (stats_.nodesExplored >= options_.maxNodes || elapsed() > options_.timeLimitSeconds) {
+    if (stats_.nodesExplored >= options_.maxNodes) {
+      stats_.hitNodeLimit = true;
       provenOptimal = false;
       break;
     }
@@ -208,7 +206,7 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
     }
   }
 
-  stats_.wallSeconds = elapsed();
+  stats_.wallSeconds = std::chrono::duration<double>(Clock::now() - start).count();
   accumulateTotals(stats_);
 
   if (sawUnbounded) {

@@ -4,8 +4,11 @@
 // fractional integer variable, exploring the child nearest the LP value
 // first. Proves optimality (paper: "solvers guarantee to find the optimal
 // solution if one exists and they can determine that they found it") unless
-// the node or time limit interrupts it, in which case the best incumbent is
-// returned with status Feasible.
+// the node cap `SolveOptions::maxNodes` interrupts it, in which case the best
+// incumbent is returned with status Feasible and `SolveStats::hitNodeLimit`
+// set. The cap is the only early stop — there is no wall-clock limit — so a
+// solve's result depends on the model and the options alone, never on
+// machine load.
 #pragma once
 
 #include "hetpar/ilp/model.hpp"

@@ -135,11 +135,8 @@ enum class SolverEngine : std::uint8_t { Revised, Dense };
 
 /// Solver knobs. Defaults suit the parallelizer's many small ILPs.
 struct SolveOptions {
-  double timeLimitSeconds = 60.0;  ///< wall-clock cap per solve
-  long long maxNodes = 2'000'000;  ///< branch-and-bound node cap
+  long long maxNodes = 2'000'000;  ///< branch-and-bound node cap: the only early stop
   double integralityTol = 1e-6;
-  double feasibilityTol = 1e-7;
-  bool collectStats = true;
   SolverEngine engine = SolverEngine::Revised;
 };
 
@@ -151,6 +148,9 @@ struct SolveStats {
   long long nodesExplored = 0;
   long long simplexIterations = 0;
   double wallSeconds = 0.0;
+  /// The search stopped on `SolveOptions::maxNodes` before proving
+  /// optimality (the result is the best incumbent, if any).
+  bool hitNodeLimit = false;
   /// LP-engine behavior (see FactorStats): basis factorizations, eta-file
   /// pivot updates between them, and the peak factor fill seen.
   long long refactorizations = 0;

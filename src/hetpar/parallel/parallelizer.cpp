@@ -131,10 +131,7 @@ Parallelizer::LaneOutput Parallelizer::runLane(NodeId id, SolutionKind kind, Cla
   // has no parent, so only the full-budget candidate can ever be chosen.
   const bool isRoot = id == graph_.root();
 
-  ilp::SolveOptions solveOpts;
-  solveOpts.timeLimitSeconds = options_.ilpTimeLimitSeconds;
-  solveOpts.maxNodes = options_.ilpMaxNodes;
-  ilp::BranchAndBoundSolver solver(solveOpts);
+  ilp::BranchAndBoundSolver solver({.maxNodes = options_.ilpMaxNodes});
   const char keyTag = static_cast<char>(static_cast<int>(options_.dependenceMode) +
                                         2 * static_cast<int>(options_.flowMode));
 
@@ -152,7 +149,7 @@ Parallelizer::LaneOutput Parallelizer::runLane(NodeId id, SolutionKind kind, Cla
       IlpRegion region = buildTaskRegion(id, sets, seqPC, budget);
       // The greedy all-in-main assignment is always feasible: it seeds the
       // ILP's upper bound and doubles as a fallback candidate when the
-      // solver hits its limits first.
+      // solver hits its node cap first.
       SolutionCandidate greedy = greedyAllInMain(region);
       if (greedy.timeSeconds > 0 &&
           (upperBound <= 0 || greedy.timeSeconds * 1.02 < upperBound))
@@ -452,7 +449,7 @@ SolutionCandidate greedyAllInMain(const IlpRegion& region) {
   // Convert the bound-producing assignment into a real candidate: one task
   // (the main one), every child on it with the greedily chosen nested
   // candidate. Always valid, so it doubles as a fallback when the ILP hits
-  // its limits before reproducing it.
+  // its node cap before reproducing it.
   const int C = static_cast<int>(region.numProcsPerClass.size());
   SolutionCandidate cand;
   cand.kind = SolutionKind::TaskParallel;

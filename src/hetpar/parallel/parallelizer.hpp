@@ -44,9 +44,12 @@ struct ParallelizerOptions {
   /// task-creation overheads are not worth an ILP (automatic granularity
   /// control, paper contribution 2).
   double minRegionTcoMultiple = 4.0;
-  /// Per-ILP solver limits.
-  double ilpTimeLimitSeconds = 20.0;
-  long long ilpMaxNodes = 400'000;
+  /// Branch-and-bound node cap per ILP, and the only limit on a solve: a
+  /// capped solve returns the same incumbent on every machine and at every
+  /// `jobs`. 10,000 is ~3.9x the largest solve of the ten benchmark kernels
+  /// on presets A and B (2,563 nodes) and bounds a hostile region's solve to
+  /// about a minute.
+  long long ilpMaxNodes = 10'000;
   /// Enables the LoopChunked mode (ablation hook).
   bool enableChunking = true;
   /// Enables combining nested candidates (ablation hook: when false, only
@@ -86,7 +89,7 @@ struct ParallelizeOutcome {
 /// (the main one), every child on it with the greedily chosen nested
 /// candidate that still fits the processor budget. Seeds the ILP's upper
 /// bound and doubles as a fallback candidate when the solver hits its
-/// limits first. A `timeSeconds` of 0 signals "no valid greedy candidate"
+/// node cap first. A `timeSeconds` of 0 signals "no valid greedy candidate"
 /// (some child offers no zero-extra-processor option for `region.seqPC`).
 SolutionCandidate greedyAllInMain(const IlpRegion& region);
 

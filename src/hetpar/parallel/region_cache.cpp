@@ -1,32 +1,17 @@
 #include "hetpar/parallel/region_cache.hpp"
 
-#include <cstdint>
-#include <cstring>
+#include "hetpar/support/bytes.hpp"
 
 namespace hetpar::parallel {
 
 namespace {
 
-void putI64(std::string& key, long long v) {
-  std::uint64_t bits = static_cast<std::uint64_t>(v);
-  char buf[8];
-  std::memcpy(buf, &bits, 8);
-  key.append(buf, 8);
-}
-
-void putF64(std::string& key, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  char buf[8];
-  std::memcpy(buf, &bits, 8);
-  key.append(buf, 8);
-}
+using bytes::putF64;
+using bytes::putI64;
 
 void putOptions(std::string& key, const ilp::SolveOptions& opts) {
-  putF64(key, opts.timeLimitSeconds);
   putI64(key, opts.maxNodes);
   putF64(key, opts.integralityTol);
-  putF64(key, opts.feasibilityTol);
   // Engines may break ties among alternate optima differently; memoized
   // solutions must not leak across them.
   putI64(key, static_cast<long long>(opts.engine));

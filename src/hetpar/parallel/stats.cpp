@@ -17,6 +17,7 @@ std::string IlpStatistics::summary() const {
                             strings::formatThousands(peakFillNonzeros).c_str());
   if (cacheHits + cacheMisses > 0)
     text += strings::format(", %lld cache hits / %lld misses", cacheHits, cacheMisses);
+  if (nodeCappedSolves > 0) text += strings::format(", %lld node-capped", nodeCappedSolves);
   return text;
 }
 

@@ -24,6 +24,9 @@ struct IlpStatistics {
   /// numIlps + cacheHits = regions the parallelizer asked to solve.
   long long cacheHits = 0;
   long long cacheMisses = 0;
+  /// Solves that stopped on the node cap before proving optimality. Not
+  /// serialized: an artifact-cache hit zeroes the statistics anyway.
+  long long nodeCappedSolves = 0;
 
   void absorb(const ilp::SolveStats& s) {
     ++numIlps;
@@ -35,6 +38,7 @@ struct IlpStatistics {
     refactorizations += s.refactorizations;
     etaUpdates += s.etaUpdates;
     if (s.peakFillNonzeros > peakFillNonzeros) peakFillNonzeros = s.peakFillNonzeros;
+    if (s.hitNodeLimit) ++nodeCappedSolves;
   }
 
   void merge(const IlpStatistics& other) {
@@ -49,6 +53,7 @@ struct IlpStatistics {
     if (other.peakFillNonzeros > peakFillNonzeros) peakFillNonzeros = other.peakFillNonzeros;
     cacheHits += other.cacheHits;
     cacheMisses += other.cacheMisses;
+    nodeCappedSolves += other.nodeCappedSolves;
   }
 
   std::string summary() const;

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "hetpar/pipeline/digest.hpp"
+#include "hetpar/support/bytes.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/support/strings.hpp"
 
@@ -18,25 +19,10 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'P', 'A', 'C'};
 
-void putU32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  out.append(buf, 4);
-}
-
-void putU64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  out.append(buf, 8);
-}
-
-void putF64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  putU64(out, bits);
-}
-
-void putI64(std::string& out, long long v) { putU64(out, static_cast<std::uint64_t>(v)); }
+using bytes::putF64;
+using bytes::putI64;
+using bytes::putU32;
+using bytes::putU64;
 
 /// Bounds-checked little-endian reader; every getter reports failure instead
 /// of reading past the end, so corrupt payloads decode to `false`, never UB.

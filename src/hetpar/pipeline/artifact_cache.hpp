@@ -39,7 +39,7 @@ class ArtifactCache {
  public:
   /// Bump when the serialized artifact layout or key derivation changes;
   /// entries stamped with any other version are rebuilt, never decoded.
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Creates `dir` (and parents) if missing. Throws hetpar::Error when the
   /// directory cannot be created.

@@ -1,6 +1,6 @@
 #include "hetpar/pipeline/digest.hpp"
 
-#include <cstring>
+#include "hetpar/support/bytes.hpp"
 
 namespace hetpar::pipeline {
 
@@ -28,15 +28,9 @@ void Digest::put(std::string_view s) {
 }
 
 void Digest::putU64(std::uint64_t v) {
-  unsigned char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
-  putBytes(buf, 8);
-}
-
-void Digest::putF64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  putU64(bits);
+  std::string buf;
+  bytes::putU64(buf, v);
+  putBytes(buf.data(), buf.size());
 }
 
 std::string Digest::hex() const {

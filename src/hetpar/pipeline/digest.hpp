@@ -13,6 +13,7 @@
 // cache file format, never by the key.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -29,7 +30,8 @@ class Digest {
   void put(std::string_view s);
   void putU64(std::uint64_t v);
   void putI64(long long v) { putU64(static_cast<std::uint64_t>(v)); }
-  void putF64(double v);  ///< exact bit pattern: identical to the last ulp
+  /// Exact bit pattern: identical to the last ulp.
+  void putF64(double v) { putU64(std::bit_cast<std::uint64_t>(v)); }
   void putBool(bool v) { putU64(v ? 1 : 0); }
 
   /// 32 lowercase hex characters (128 bits). Safe as a file name.

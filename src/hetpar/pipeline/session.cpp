@@ -120,7 +120,6 @@ std::string Session::outcomeKey() const {
   d.putI64(po.maxTasksPerRegion);
   d.putI64(po.chunkCount);
   d.putF64(po.minRegionTcoMultiple);
-  d.putF64(po.ilpTimeLimitSeconds);
   d.putI64(po.ilpMaxNodes);
   d.putBool(po.enableChunking);
   d.putBool(po.enableParallelSetMapping);

@@ -24,11 +24,10 @@
 // The `parallelize` pass consults the optional persistent ArtifactCache
 // under `outcomeKey()` — a digest of source, platform, dependence mode and
 // the outcome-relevant parallelizer options — and falls back to a clean
-// solve on any miss, corruption or version mismatch. Determinism boundary:
-// everything a Session computes is independent of `parallelizer.jobs` and
-// of cache state (hits return byte-identical outcomes); the only documented
-// nondeterminism is the wall-clock ILP time limit, exactly as in the
-// underlying solve engine (DESIGN.md §7).
+// solve on any miss, corruption or version mismatch. Determinism: everything
+// a Session computes is independent of `parallelizer.jobs`, of cache state
+// (hits return byte-identical outcomes) and of machine load — the ILP's only
+// limit is the deterministic node cap `ilpMaxNodes` (DESIGN.md §7).
 #pragma once
 
 #include <memory>

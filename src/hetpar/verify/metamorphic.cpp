@@ -58,13 +58,6 @@ platform::Platform scaledPlatform(const platform::Platform& pf, double factor) {
                             pf.taskCreationOverheadSeconds() * factor);
 }
 
-ilp::SolveOptions deterministicSolverOptions() {
-  ilp::SolveOptions so;
-  so.timeLimitSeconds = 1e9;  // node cap only: wall clock must not matter
-  so.maxNodes = 2'000'000;
-  return so;
-}
-
 // ---------------------------------------------------------------------------
 // Program-level relations
 // ---------------------------------------------------------------------------
@@ -719,7 +712,7 @@ RelationResult checkFlowRefinement(const std::string& source) {
 RelationResult checkGaVsIlp(std::uint64_t seed, const MetamorphicOptions& options) {
   Rng rng(seed);
   const parallel::IlpRegion region = randomTinyRegion(rng);
-  ilp::BranchAndBoundSolver solver(deterministicSolverOptions());
+  ilp::BranchAndBoundSolver solver;
   const parallel::IlpParResult ilp = parallel::solveIlpPar(region, solver);
   if (!ilp.feasible || !ilp.provenOptimal)
     return skip(Relation::GaVsIlp, "ILP did not prove optimality within limits");
@@ -740,7 +733,7 @@ RelationResult checkGaVsIlp(std::uint64_t seed, const MetamorphicOptions& option
 RelationResult checkOracleTask(std::uint64_t seed, const MetamorphicOptions& options) {
   Rng rng(seed);
   const parallel::IlpRegion region = randomTinyRegion(rng);
-  ilp::BranchAndBoundSolver solver(deterministicSolverOptions());
+  ilp::BranchAndBoundSolver solver;
   const parallel::IlpParResult ilp = parallel::solveIlpPar(region, solver);
   const OracleResult oracle = bruteForceTask(region);
   if (!oracle.feasible)
@@ -764,7 +757,7 @@ RelationResult checkOracleTask(std::uint64_t seed, const MetamorphicOptions& opt
 RelationResult checkOracleChunk(std::uint64_t seed, const MetamorphicOptions& options) {
   Rng rng(seed);
   const parallel::ChunkRegion region = randomTinyChunkRegion(rng);
-  ilp::BranchAndBoundSolver solver(deterministicSolverOptions());
+  ilp::BranchAndBoundSolver solver;
   const parallel::ChunkResult ilp = parallel::solveChunkIlp(region, solver);
   const OracleResult oracle = bruteForceChunk(region);
   if (!oracle.feasible)
@@ -793,12 +786,8 @@ RelationResult checkSolverDifferential(std::uint64_t seed, const MetamorphicOpti
   tiny.maxChildren = 8;
   tiny.maxTasks = 4;
 
-  ilp::SolveOptions denseOpts = deterministicSolverOptions();
-  denseOpts.engine = ilp::SolverEngine::Dense;
-  ilp::SolveOptions revisedOpts = deterministicSolverOptions();
-  revisedOpts.engine = ilp::SolverEngine::Revised;
-  ilp::BranchAndBoundSolver dense(denseOpts);
-  ilp::BranchAndBoundSolver revised(revisedOpts);
+  ilp::BranchAndBoundSolver dense({.engine = ilp::SolverEngine::Dense});
+  ilp::BranchAndBoundSolver revised({.engine = ilp::SolverEngine::Revised});
 
   bool dFeasible, rFeasible, dProven, rProven;
   double dSeconds, rSeconds;
@@ -839,11 +828,10 @@ RelationResult checkSolverDifferential(std::uint64_t seed, const MetamorphicOpti
 
 }  // namespace
 
-parallel::ParallelizerOptions MetamorphicOptions::deterministicOptions() {
+parallel::ParallelizerOptions MetamorphicOptions::fuzzOptions() {
   parallel::ParallelizerOptions o;
-  // Wall-clock solver limits are the only nondeterminism boundary; replace
-  // them with a (deterministic) node cap as the jobs-invariance tests do.
-  o.ilpTimeLimitSeconds = 1e9;
+  // A small node cap keeps each case cheap; it is deterministic, so capped
+  // solves still reproduce bit for bit across the compared runs.
   o.ilpMaxNodes = 2'000;
   // Paper-realistic region sizes: the sparse revised simplex keeps the
   // per-region models cheap enough that the fuzz profile no longer needs to

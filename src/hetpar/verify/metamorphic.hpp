@@ -123,12 +123,13 @@ struct MetamorphicOptions {
   /// parallel, so the band is generous (the seed's flatten tests use 25%).
   double simLowerFactor = 0.5;
   double simUpperFactor = 2.0;
-  /// Parallelizer configuration. Defaults are made deterministic (no
-  /// wall-clock solver limit) by `deterministicOptions`, which bit-identical
-  /// relations require.
-  parallel::ParallelizerOptions parallelizer = deterministicOptions();
+  /// Parallelizer configuration; defaults to the fuzz profile. Every solver
+  /// limit is a deterministic node cap, so the bit-identical relations hold
+  /// for any configuration.
+  parallel::ParallelizerOptions parallelizer = fuzzOptions();
 
-  static parallel::ParallelizerOptions deterministicOptions();
+  /// The fuzz profile: a 2,000-node cap and paper-realistic region sizes.
+  static parallel::ParallelizerOptions fuzzOptions();
 };
 
 /// Byte-for-byte comparison of two solution tables. Returns "" when

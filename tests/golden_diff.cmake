@@ -5,10 +5,17 @@
 # single compile produces.
 #
 # Expects: -DHETPARC=<binary> -DSOURCE=<source.c> -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir>
+# Optional: -DJOBS=<n> plans on an n-worker thread pool; the artifacts must
+# still match the same goldens byte for byte.
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
+set(jobs_args)
+if(DEFINED JOBS)
+  set(jobs_args --jobs "${JOBS}")
+endif()
+
 execute_process(
-  COMMAND "${HETPARC}" --preset A --simulate
+  COMMAND "${HETPARC}" --preset A --simulate ${jobs_args}
           --emit-annotated "${WORK_DIR}/pipeline.annotated.c"
           --emit-parspec "${WORK_DIR}/pipeline.parspec"
           --emit-premap "${WORK_DIR}/pipeline.premap"

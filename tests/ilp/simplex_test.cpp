@@ -304,26 +304,34 @@ void expectBothEnginesReach(const AdversarialCase& c) {
   }
 }
 
-class AdversarialSweep : public ::testing::TestWithParam<AdversarialCase> {};
+// Each sweep is parameterized by index into its table so the printed
+// parameter (and with it the test name) does not hold raw pointer bytes,
+// which change with the load address from run to run.
+std::string caseName(const AdversarialCase& c) {
+  std::string n = c.name;
+  for (char& ch : n)
+    if (ch == '-') ch = '_';
+  return n;
+}
 
-TEST_P(AdversarialSweep, BothEnginesReachKnownOptimum) { expectBothEnginesReach(GetParam()); }
+const AdversarialCase kAdversarialCases[] = {
+    {"beale-cycling", &bealeCycling, -0.05, 1e-9},
+    {"near-singular-rows", &nearSingularRows, -1.0, 1e-5},
+    {"degenerate-assignment", &degenerateAssignment, 3.0, 1e-6},
+};
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, AdversarialSweep,
-    ::testing::Values(AdversarialCase{"beale-cycling", &bealeCycling, -0.05, 1e-9},
-                      AdversarialCase{"near-singular-rows", &nearSingularRows, -1.0, 1e-5},
-                      AdversarialCase{"degenerate-assignment", &degenerateAssignment, 3.0,
-                                      1e-6}),
-    [](const ::testing::TestParamInfo<AdversarialCase>& info) {
-      std::string n = info.param.name;
-      for (char& ch : n)
-        if (ch == '-') ch = '_';
-      return n;
-    });
+class AdversarialSweep : public ::testing::TestWithParam<int> {};
 
-// The badly scaled cases, parameterized by index into this table so the
-// printed parameter (and with it the test name) does not hold raw pointer
-// bytes, which change with the load address from run to run.
+TEST_P(AdversarialSweep, BothEnginesReachKnownOptimum) {
+  expectBothEnginesReach(kAdversarialCases[GetParam()]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, AdversarialSweep, ::testing::Range(0, 3),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return caseName(kAdversarialCases[info.param]);
+                         });
+
+// The badly scaled cases.
 const AdversarialCase kScaleCases[] = {
     {"large-scale", &largeScale, 1.0, 1e-4},
     {"mixed-scale", &mixedScale, 1.0 - 1e-8, 1e-6},
@@ -337,10 +345,7 @@ TEST_P(ScaleSweep, BothEnginesReachKnownOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ScaleSweep, ::testing::Range(0, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           std::string n = kScaleCases[info.param].name;
-                           for (char& ch : n)
-                             if (ch == '-') ch = '_';
-                           return n;
+                           return caseName(kScaleCases[info.param]);
                          });
 
 // An 80-row chained system needs well over 80 pivots; the product-form eta

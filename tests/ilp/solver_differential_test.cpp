@@ -136,14 +136,8 @@ TEST_P(SolverDifferentialSweep, IlpParModelsAgree) {
   tiny.maxChildren = 8;
   tiny.maxTasks = 4;
 
-  SolveOptions denseOpts;
-  denseOpts.timeLimitSeconds = 1e9;
-  denseOpts.maxNodes = 2'000'000;
-  denseOpts.engine = SolverEngine::Dense;
-  SolveOptions revisedOpts = denseOpts;
-  revisedOpts.engine = SolverEngine::Revised;
-  BranchAndBoundSolver dense(denseOpts);
-  BranchAndBoundSolver revised(revisedOpts);
+  BranchAndBoundSolver dense({.engine = SolverEngine::Dense});
+  BranchAndBoundSolver revised({.engine = SolverEngine::Revised});
 
   if (GetParam() % 2 == 0) {
     const parallel::IlpRegion region = verify::randomTinyRegion(rng, tiny);

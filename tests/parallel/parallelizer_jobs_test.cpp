@@ -75,19 +75,13 @@ ParallelizeOutcome planWithJobs(const htg::Graph& graph, const platform::Platfor
 
 TEST(ParallelizerJobs, FullBenchsuiteOutcomeIsJobsInvariant) {
   // The acceptance bar for the concurrent engine: --jobs 1 and --jobs N
-  // yield identical candidates and objective values on every benchmark.
-  //
-  // The solver's wall-clock limit is the one nondeterministic input: with
-  // more workers than cores a heavy solve runs slower in wall time and can
-  // be interrupted at a different incumbent. Invariance is guaranteed for
-  // wall-clock-free limits, so the test disables the time limit and lets
-  // the (deterministic) node limit bound the work. `spectral` — the only
-  // benchmark with solves heavy enough to hit limits at all — gets its own
-  // test below with a tighter node budget.
+  // yield identical candidates and objective values on every benchmark,
+  // under the production options. The solver's only limit is the node cap,
+  // which is deterministic, so slower solves under oversubscription cannot
+  // change an incumbent. `spectral` gets its own test below, which starves
+  // the node budget so that capped solves are covered too.
   const platform::Platform pf = platform::platformA();
-  ParallelizerOptions opts;
-  opts.ilpTimeLimitSeconds = 1e9;
-  opts.ilpMaxNodes = 50'000;
+  const ParallelizerOptions opts;
   for (const auto& b : benchsuite::suite()) {
     if (b.name == "spectral") continue;
     // tsan multiplies solver cost ~30x; one light benchmark still covers
@@ -103,16 +97,17 @@ TEST(ParallelizerJobs, FullBenchsuiteOutcomeIsJobsInvariant) {
 
 TEST(ParallelizerJobs, SpectralInvariantUnderDeterministicLimits) {
   // Deliberately starve the node budget so several solves stop on the
-  // limit: interrupted incumbents must ALSO be jobs-invariant as long as
-  // the interruption criterion is deterministic (nodes, not seconds).
+  // cap: interrupted incumbents must ALSO be jobs-invariant, because the
+  // interruption criterion is deterministic (nodes, not seconds).
   if (kUnderTsan) GTEST_SKIP() << "solver workload too heavy under tsan";
   const platform::Platform pf = platform::platformA();
   ParallelizerOptions opts;
-  opts.ilpTimeLimitSeconds = 1e9;
-  opts.ilpMaxNodes = 50'000;
+  opts.ilpMaxNodes = 300;
   htg::FrontendBundle bundle = htg::buildFromSource(benchsuite::find("spectral").source);
   const ParallelizeOutcome seq = planWithJobs(bundle.graph, pf, 1, opts);
   const ParallelizeOutcome par = planWithJobs(bundle.graph, pf, 4, opts);
+  EXPECT_GT(seq.stats.nodeCappedSolves, 0) << "the budget no longer binds";
+  EXPECT_GT(par.stats.nodeCappedSolves, 0) << "the budget no longer binds";
   expectSameOutcome(seq, par, "spectral");
 }
 

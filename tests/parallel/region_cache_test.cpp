@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "hetpar/cost/timing.hpp"
 #include "hetpar/htg/builder.hpp"
@@ -19,12 +20,7 @@
 namespace hetpar::parallel {
 namespace {
 
-ilp::SolveOptions solveOptions() {
-  ilp::SolveOptions so;
-  so.timeLimitSeconds = 1e9;
-  so.maxNodes = 100'000;
-  return so;
-}
+ilp::SolveOptions solveOptions() { return {.maxNodes = 100'000}; }
 
 IlpRegion sampleRegion(std::uint64_t seed) {
   Rng rng(seed);
@@ -63,10 +59,29 @@ TEST(RegionCacheTest, KeySeesEveryModelField) {
   m = base;
   m.upperBoundSeconds = base.upperBoundSeconds + 1e-6;
   EXPECT_NE(IlpRegionCache::taskKey(m, solveOptions()), baseKey) << "pruning bound";
+}
 
-  ilp::SolveOptions limits = solveOptions();
-  limits.maxNodes += 1;
-  EXPECT_NE(IlpRegionCache::taskKey(base, limits), baseKey) << "solver limits";
+TEST(RegionCacheTest, KeysSeeEverySolveOption) {
+  // Every SolveOptions field, flipped one at a time, must change both key
+  // kinds. A new field goes on this list.
+  const IlpRegion task = sampleRegion(2);
+  Rng rng(4);
+  const ChunkRegion chunk = verify::randomTinyChunkRegion(rng);
+  const std::string taskKey = IlpRegionCache::taskKey(task, solveOptions());
+  const std::string chunkKey = IlpRegionCache::chunkKey(chunk, solveOptions());
+
+  using Flip = void (*)(ilp::SolveOptions&);
+  const std::pair<const char*, Flip> flips[] = {
+      {"maxNodes", [](ilp::SolveOptions& so) { so.maxNodes += 1; }},
+      {"integralityTol", [](ilp::SolveOptions& so) { so.integralityTol *= 2.0; }},
+      {"engine", [](ilp::SolveOptions& so) { so.engine = ilp::SolverEngine::Dense; }},
+  };
+  for (const auto& [field, flip] : flips) {
+    ilp::SolveOptions so = solveOptions();
+    flip(so);
+    EXPECT_NE(IlpRegionCache::taskKey(task, so), taskKey) << field;
+    EXPECT_NE(IlpRegionCache::chunkKey(chunk, so), chunkKey) << field;
+  }
 }
 
 TEST(RegionCacheTest, TaskLookupReturnsStoredDecodeWithZeroedStats) {
@@ -140,7 +155,7 @@ TEST(RegionCacheTest, SharedCacheMakesSecondRunAllHits) {
   const htg::FrontendBundle bundle = htg::buildFromSource(source);
   const cost::TimingModel timing(pf);
 
-  ParallelizerOptions options = verify::MetamorphicOptions::deterministicOptions();
+  ParallelizerOptions options = verify::MetamorphicOptions::fuzzOptions();
   options.regionCache = std::make_shared<IlpRegionCache>();
   const ParallelizeOutcome first = Parallelizer(bundle.graph, timing, options).run();
   const ParallelizeOutcome second = Parallelizer(bundle.graph, timing, options).run();
@@ -162,13 +177,13 @@ TEST(RegionCacheTest, DisabledCacheReportsNoTraffic) {
   const htg::FrontendBundle bundle = htg::buildFromSource(source);
   const cost::TimingModel timing(pf);
 
-  ParallelizerOptions options = verify::MetamorphicOptions::deterministicOptions();
+  ParallelizerOptions options = verify::MetamorphicOptions::fuzzOptions();
   options.enableRegionCache = false;
   const ParallelizeOutcome outcome = Parallelizer(bundle.graph, timing, options).run();
   EXPECT_EQ(outcome.stats.cacheHits, 0);
   EXPECT_EQ(outcome.stats.cacheMisses, 0);
 
-  ParallelizerOptions cached = verify::MetamorphicOptions::deterministicOptions();
+  ParallelizerOptions cached = verify::MetamorphicOptions::fuzzOptions();
   const ParallelizeOutcome withCache = Parallelizer(bundle.graph, timing, cached).run();
   EXPECT_EQ(verify::diffSolutionTables(outcome.table, withCache.table), "");
 }

@@ -109,7 +109,6 @@ TEST(Session, OutcomeKeyIsStableAndDiscriminating) {
       {"maxTasksPerRegion", [](Options& po) { po.maxTasksPerRegion = 3; }},
       {"chunkCount", [](Options& po) { po.chunkCount = 8; }},
       {"minRegionTcoMultiple", [](Options& po) { po.minRegionTcoMultiple = 2.0; }},
-      {"ilpTimeLimitSeconds", [](Options& po) { po.ilpTimeLimitSeconds = 5.0; }},
       {"ilpMaxNodes", [](Options& po) { po.ilpMaxNodes = 1000; }},
       {"enableChunking", [](Options& po) { po.enableChunking = false; }},
       {"enableParallelSetMapping", [](Options& po) { po.enableParallelSetMapping = false; }},

@@ -53,7 +53,7 @@ class InvariantsTest : public ::testing::Test {
     pf_ = new platform::Platform(makePlatform());
     timing_ = new cost::TimingModel(*pf_);
     parallel::ParallelizerOptions opts =
-        verify::MetamorphicOptions::deterministicOptions();
+        verify::MetamorphicOptions::fuzzOptions();
     // The mutation tests below need a TaskParallel candidate spawning >= 2
     // tasks. Under the widened fuzz profile (4 tasks / 16 chunks) the
     // chunked child loops absorb all four processors and the optimum

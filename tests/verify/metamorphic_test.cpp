@@ -102,7 +102,7 @@ TEST(MetamorphicTest, DiffSolutionTablesDetectsMutations) {
   const htg::FrontendBundle bundle = htg::buildFromSource(source);
   const cost::TimingModel timing(pf);
   parallel::Parallelizer par(bundle.graph, timing,
-                             verify::MetamorphicOptions::deterministicOptions());
+                             verify::MetamorphicOptions::fuzzOptions());
   const parallel::ParallelizeOutcome outcome = par.run();
 
   EXPECT_EQ(verify::diffSolutionTables(outcome.table, outcome.table), "");
@@ -117,13 +117,6 @@ TEST(MetamorphicTest, DiffSolutionTablesDetectsMutations) {
   parallel::SolutionTable truncated = outcome.table;
   truncated.erase(truncated.begin());
   EXPECT_NE(verify::diffSolutionTables(outcome.table, truncated), "");
-}
-
-TEST(MetamorphicTest, DeterministicOptionsDisableWallClockLimits) {
-  const parallel::ParallelizerOptions options =
-      verify::MetamorphicOptions::deterministicOptions();
-  EXPECT_GE(options.ilpTimeLimitSeconds, 1e8);
-  EXPECT_GT(options.ilpMaxNodes, 0);
 }
 
 }  // namespace

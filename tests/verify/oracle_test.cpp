@@ -19,13 +19,6 @@
 namespace hetpar {
 namespace {
 
-ilp::SolveOptions solverOptions() {
-  ilp::SolveOptions so;
-  so.timeLimitSeconds = 1e9;  // node-capped only: deterministic
-  so.maxNodes = 2'000'000;
-  return so;
-}
-
 /// The ILP objective carries a 1e-4 us tie-break per opened task, so two
 /// independently derived optima agree only up to a tiny slack.
 bool closeEnough(double a, double b) {
@@ -40,7 +33,7 @@ TEST(OracleTest, IlpParMatchesBruteForceOnRandomTinyRegions) {
   for (int i = 0; i < kRegions; ++i) {
     const parallel::IlpRegion region = verify::randomTinyRegion(rng);
     const verify::OracleResult oracle = verify::bruteForceTask(region);
-    ilp::BranchAndBoundSolver solver(solverOptions());
+    ilp::BranchAndBoundSolver solver;
     const parallel::IlpParResult ilpResult = parallel::solveIlpPar(region, solver);
 
     ASSERT_TRUE(ilpResult.provenOptimal) << "region " << i;
@@ -74,7 +67,7 @@ TEST(OracleTest, IlpParMatchesBruteForceOnFourClassDeepRegions) {
     const parallel::IlpRegion region = verify::randomTinyRegion(rng, wide);
     if (static_cast<int>(region.numProcsPerClass.size()) == 4) ++fourClass;
     const verify::OracleResult oracle = verify::bruteForceTask(region);
-    ilp::BranchAndBoundSolver solver(solverOptions());
+    ilp::BranchAndBoundSolver solver;
     const parallel::IlpParResult ilpResult = parallel::solveIlpPar(region, solver);
 
     if (!ilpResult.provenOptimal) continue;  // node cap hit on a big instance
@@ -103,7 +96,7 @@ TEST(OracleTest, ChunkIlpMatchesBruteForceOnFourClassLoops) {
     const parallel::ChunkRegion region = verify::randomTinyChunkRegion(rng, wide);
     if (static_cast<int>(region.numProcsPerClass.size()) == 4) ++fourClass;
     const verify::OracleResult oracle = verify::bruteForceChunk(region);
-    ilp::BranchAndBoundSolver solver(solverOptions());
+    ilp::BranchAndBoundSolver solver;
     const parallel::ChunkResult ilpResult = parallel::solveChunkIlp(region, solver);
 
     ASSERT_TRUE(ilpResult.provenOptimal) << "region " << i;
@@ -155,7 +148,7 @@ TEST(OracleTest, ChunkIlpMatchesBruteForceOnRandomTinyLoops) {
   for (int i = 0; i < kRegions; ++i) {
     const parallel::ChunkRegion region = verify::randomTinyChunkRegion(rng);
     const verify::OracleResult oracle = verify::bruteForceChunk(region);
-    ilp::BranchAndBoundSolver solver(solverOptions());
+    ilp::BranchAndBoundSolver solver;
     const parallel::ChunkResult ilpResult = parallel::solveChunkIlp(region, solver);
 
     ASSERT_TRUE(ilpResult.provenOptimal) << "region " << i;
