@@ -1,43 +1,19 @@
 #include "hetpar/ilp/branch_and_bound.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <vector>
 
 #include "hetpar/support/error.hpp"
-#include "hetpar/support/log.hpp"
 
 namespace hetpar::ilp {
 
 namespace {
 
-// Process-wide totals (see SolverTotals). Relaxed atomics: the counters are
-// diagnostics, not synchronization.
-std::atomic<long long> gSolves{0};
-std::atomic<long long> gBnbNodes{0};
-std::atomic<long long> gSimplexIterations{0};
-std::atomic<long long> gRefactorizations{0};
-std::atomic<long long> gEtaUpdates{0};
-std::atomic<long long> gPeakFillNonzeros{0};
-std::atomic<long long> gWallMicros{0};
-
-void accumulateTotals(const SolveStats& s) {
-  gSolves.fetch_add(1, std::memory_order_relaxed);
-  gBnbNodes.fetch_add(s.nodesExplored, std::memory_order_relaxed);
-  gSimplexIterations.fetch_add(s.simplexIterations, std::memory_order_relaxed);
-  gRefactorizations.fetch_add(s.refactorizations, std::memory_order_relaxed);
-  gEtaUpdates.fetch_add(s.etaUpdates, std::memory_order_relaxed);
-  long long peak = gPeakFillNonzeros.load(std::memory_order_relaxed);
-  while (s.peakFillNonzeros > peak &&
-         !gPeakFillNonzeros.compare_exchange_weak(peak, s.peakFillNonzeros,
-                                                  std::memory_order_relaxed)) {
-  }
-  gWallMicros.fetch_add(static_cast<long long>(s.wallSeconds * 1e6),
-                        std::memory_order_relaxed);
-}
+// A relaxation value this close to an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
 
 struct BnbNode {
   // Full bound vectors (models are small enough that replaying deltas is
@@ -92,11 +68,8 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
   std::vector<BnbNode> stack;
   stack.push_back({rootLower, rootUpper, -kInfinity, nullptr});
 
-  const double intTol = options_.integralityTol;
-
   while (!stack.empty()) {
     if (stats_.nodesExplored >= options_.maxNodes) {
-      stats_.hitNodeLimit = true;
       provenOptimal = false;
       break;
     }
@@ -137,9 +110,7 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
         }
       }
       if (splitVar < 0) {
-        provenOptimal = false;
-        log::warn() << "bnb: dropping fully-fixed node after simplex iteration limit in model '"
-                    << model.name() << "'";
+        provenOptimal = false;  // counted in SolveStats::unproven
         continue;
       }
       const auto sv = static_cast<std::size_t>(splitVar);
@@ -164,7 +135,7 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
       if (!isInt[i]) continue;
       const double v = relax.x[i];
       const double frac = std::fabs(v - std::round(v));
-      if (frac <= intTol) continue;
+      if (frac <= kIntegralityTol) continue;
       const int prio = model.vars()[i].branchPriority;
       const double dist = std::fabs(frac - 0.5);
       if (prio > branchPrio || (prio == branchPrio && dist < branchDist)) {
@@ -207,7 +178,7 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
   }
 
   stats_.wallSeconds = std::chrono::duration<double>(Clock::now() - start).count();
-  accumulateTotals(stats_);
+  stats_.unproven = !provenOptimal;
 
   if (sawUnbounded) {
     Solution out;
@@ -223,28 +194,6 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
   HETPAR_CHECK_MSG(model.isFeasible(best.values, 1e-5),
                    "bnb produced an infeasible incumbent for model '" + model.name() + "'");
   return best;
-}
-
-SolverTotals solverTotals() {
-  SolverTotals t;
-  t.solves = gSolves.load(std::memory_order_relaxed);
-  t.bnbNodes = gBnbNodes.load(std::memory_order_relaxed);
-  t.simplexIterations = gSimplexIterations.load(std::memory_order_relaxed);
-  t.refactorizations = gRefactorizations.load(std::memory_order_relaxed);
-  t.etaUpdates = gEtaUpdates.load(std::memory_order_relaxed);
-  t.peakFillNonzeros = gPeakFillNonzeros.load(std::memory_order_relaxed);
-  t.wallSeconds = static_cast<double>(gWallMicros.load(std::memory_order_relaxed)) / 1e6;
-  return t;
-}
-
-void resetSolverTotals() {
-  gSolves.store(0, std::memory_order_relaxed);
-  gBnbNodes.store(0, std::memory_order_relaxed);
-  gSimplexIterations.store(0, std::memory_order_relaxed);
-  gRefactorizations.store(0, std::memory_order_relaxed);
-  gEtaUpdates.store(0, std::memory_order_relaxed);
-  gPeakFillNonzeros.store(0, std::memory_order_relaxed);
-  gWallMicros.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace hetpar::ilp

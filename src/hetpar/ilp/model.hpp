@@ -136,7 +136,6 @@ enum class SolverEngine : std::uint8_t { Revised, Dense };
 /// Solver knobs. Defaults suit the parallelizer's many small ILPs.
 struct SolveOptions {
   long long maxNodes = 2'000'000;  ///< branch-and-bound node cap: the only early stop
-  double integralityTol = 1e-6;
   SolverEngine engine = SolverEngine::Revised;
 };
 
@@ -148,9 +147,10 @@ struct SolveStats {
   long long nodesExplored = 0;
   long long simplexIterations = 0;
   double wallSeconds = 0.0;
-  /// The search stopped on `SolveOptions::maxNodes` before proving
-  /// optimality (the result is the best incumbent, if any).
-  bool hitNodeLimit = false;
+  /// The search ended without proving optimality: it stopped on
+  /// `SolveOptions::maxNodes`, or dropped a fully-fixed node the LP engine
+  /// gave up on (the result is the best incumbent, if any).
+  bool unproven = false;
   /// LP-engine behavior (see FactorStats): basis factorizations, eta-file
   /// pivot updates between them, and the peak factor fill seen.
   long long refactorizations = 0;

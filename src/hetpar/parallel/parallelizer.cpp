@@ -14,7 +14,6 @@
 
 #include "hetpar/parallel/region_cache.hpp"
 #include "hetpar/support/error.hpp"
-#include "hetpar/support/log.hpp"
 #include "hetpar/support/strings.hpp"
 #include "hetpar/support/thread_pool.hpp"
 

@@ -11,7 +11,6 @@ using bytes::putI64;
 
 void putOptions(std::string& key, const ilp::SolveOptions& opts) {
   putI64(key, opts.maxNodes);
-  putF64(key, opts.integralityTol);
   // Engines may break ties among alternate optima differently; memoized
   // solutions must not leak across them.
   putI64(key, static_cast<long long>(opts.engine));

@@ -17,7 +17,7 @@ std::string IlpStatistics::summary() const {
                             strings::formatThousands(peakFillNonzeros).c_str());
   if (cacheHits + cacheMisses > 0)
     text += strings::format(", %lld cache hits / %lld misses", cacheHits, cacheMisses);
-  if (nodeCappedSolves > 0) text += strings::format(", %lld node-capped", nodeCappedSolves);
+  if (unprovenSolves > 0) text += strings::format(", %lld unproven", unprovenSolves);
   return text;
 }
 

@@ -24,9 +24,10 @@ struct IlpStatistics {
   /// numIlps + cacheHits = regions the parallelizer asked to solve.
   long long cacheHits = 0;
   long long cacheMisses = 0;
-  /// Solves that stopped on the node cap before proving optimality. Not
-  /// serialized: an artifact-cache hit zeroes the statistics anyway.
-  long long nodeCappedSolves = 0;
+  /// Solves that ended without proving optimality (SolveStats::unproven:
+  /// the node cap, or a dropped fully-fixed node). Not serialized: an
+  /// artifact-cache hit zeroes the statistics anyway.
+  long long unprovenSolves = 0;
 
   void absorb(const ilp::SolveStats& s) {
     ++numIlps;
@@ -38,7 +39,7 @@ struct IlpStatistics {
     refactorizations += s.refactorizations;
     etaUpdates += s.etaUpdates;
     if (s.peakFillNonzeros > peakFillNonzeros) peakFillNonzeros = s.peakFillNonzeros;
-    if (s.hitNodeLimit) ++nodeCappedSolves;
+    if (s.unproven) ++unprovenSolves;
   }
 
   void merge(const IlpStatistics& other) {
@@ -53,7 +54,7 @@ struct IlpStatistics {
     if (other.peakFillNonzeros > peakFillNonzeros) peakFillNonzeros = other.peakFillNonzeros;
     cacheHits += other.cacheHits;
     cacheMisses += other.cacheMisses;
-    nodeCappedSolves += other.nodeCappedSolves;
+    unprovenSolves += other.unprovenSolves;
   }
 
   std::string summary() const;

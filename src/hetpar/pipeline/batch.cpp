@@ -53,6 +53,7 @@ BatchJobResult compileOne(const BatchJob& job, const BatchConfig& config) {
           sim.sequentialSeconds / sim.parallelSeconds, sim.taskCount);
     }
     result.outcomeCached = session.parallelizeWasCached();
+    result.stats = session.parallelize().stats;
     result.passes = session.passes();
     result.ok = true;
   } catch (const std::exception& e) {

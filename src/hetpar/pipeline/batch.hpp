@@ -50,6 +50,9 @@ struct BatchJobResult {
   std::string report;  ///< deterministic per-program report text
   bool outcomeCached = false;
   std::vector<PassRecord> passes;
+  /// The job's heterogeneous ILP statistics (zero on an artifact-cache hit;
+  /// region-cache hits count as hits, not solves).
+  parallel::IlpStatistics stats;
 };
 
 struct BatchReport {

@@ -64,6 +64,7 @@ SessionInputs makeInputs(const std::string& name, const std::string& source,
   inputs.source = source;
   inputs.platform = pf;
   inputs.depMode = options.parallelizer.dependenceMode;
+  inputs.flowMode = options.parallelizer.flowMode;
   inputs.parallelizer = options.parallelizer;
   inputs.artifactCache = options.artifactCache;
   return inputs;

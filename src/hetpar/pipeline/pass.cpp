@@ -1,35 +1,20 @@
 #include "hetpar/pipeline/pass.hpp"
 
+#include <map>
+
 #include "hetpar/support/strings.hpp"
 
 namespace hetpar::pipeline {
 
-TimingRegistry& TimingRegistry::global() {
-  static TimingRegistry registry;
-  return registry;
-}
-
-void TimingRegistry::record(const PassRecord& r) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PassTotals& t = totals_[r.name];
-  ++t.runs;
-  t.wallSeconds += r.wallSeconds;
-  t.artifactBytes += r.artifactBytes;
-  t.cacheHits += r.cacheHits;
-  t.cacheMisses += r.cacheMisses;
-}
-
-std::map<std::string, PassTotals> TimingRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return totals_;
-}
-
-void TimingRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  totals_.clear();
-}
-
 namespace {
+
+struct PassTotals {
+  long long runs = 0;
+  double wallSeconds = 0.0;
+  long long artifactBytes = 0;
+  long long cacheHits = 0;
+  long long cacheMisses = 0;
+};
 
 std::string tableHeader() {
   return strings::format("%-12s %6s %12s %14s %10s %10s\n", "pass", "runs", "wall [ms]",
@@ -61,21 +46,6 @@ std::string formatPassTable(const std::vector<PassRecord>& records) {
   PassTotals sum;
   for (const std::string& name : order) {
     const PassTotals& t = totals[name];
-    out += tableLine(name, t);
-    sum.runs += t.runs;
-    sum.wallSeconds += t.wallSeconds;
-    sum.artifactBytes += t.artifactBytes;
-    sum.cacheHits += t.cacheHits;
-    sum.cacheMisses += t.cacheMisses;
-  }
-  out += tableLine("total", sum);
-  return out;
-}
-
-std::string formatPassTable(const std::map<std::string, PassTotals>& totals) {
-  std::string out = tableHeader();
-  PassTotals sum;
-  for (const auto& [name, t] : totals) {
     out += tableLine(name, t);
     sum.runs += t.runs;
     sum.wallSeconds += t.wallSeconds;

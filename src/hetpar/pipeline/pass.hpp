@@ -4,13 +4,11 @@
 // htg, parallelize, simulate, emit) and records one PassRecord per
 // execution: wall time, an artifact-size estimate, and — for cacheable
 // passes — whether the artifact came from the persistent cache. Records
-// live in two places: the owning Session (per-run report, `hetparc
-// --explain-timings`) and a process-wide TimingRegistry that aggregates
-// across sessions (batch driver summary, hetpar-fuzz JSON report).
+// live with the run that made them: the owning Session (per-run report,
+// `hetparc --explain-timings`) or, for a batch, each job's result (the
+// batch summary concatenates them). There is no process-wide aggregate.
 #pragma once
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -29,34 +27,9 @@ struct PassRecord {
   long long cacheMisses = 0;
 };
 
-struct PassTotals {
-  long long runs = 0;
-  double wallSeconds = 0.0;
-  long long artifactBytes = 0;
-  long long cacheHits = 0;
-  long long cacheMisses = 0;
-};
-
-/// Thread-safe process-wide aggregation, keyed by pass name. Sessions and
-/// the free-standing pipeline helpers report into `global()`; readers take a
-/// snapshot. Purely observational: nothing in the pipeline consults it.
-class TimingRegistry {
- public:
-  static TimingRegistry& global();
-
-  void record(const PassRecord& r);
-  std::map<std::string, PassTotals> snapshot() const;
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, PassTotals> totals_;
-};
-
-/// Renders a per-pass table (one line per pass plus a total line), used by
-/// `hetparc --explain-timings`. Works for both a single session's records
-/// and a registry snapshot collapsed into records.
+/// Renders a per-pass table (one line per pass name, repeated executions
+/// collapsed in first-execution order, plus a total line), used by
+/// `hetparc --explain-timings`.
 std::string formatPassTable(const std::vector<PassRecord>& records);
-std::string formatPassTable(const std::map<std::string, PassTotals>& totals);
 
 }  // namespace hetpar::pipeline

@@ -26,7 +26,6 @@ double secondsSince(Clock::time_point start) {
 }
 
 void report(std::vector<PassRecord>* records, PassRecord rec) {
-  TimingRegistry::global().record(rec);
   if (records != nullptr) records->push_back(std::move(rec));
 }
 
@@ -79,18 +78,6 @@ htg::FrontendBundle buildFrontend(std::string_view source, ir::DependenceMode mo
                      static_cast<long long>(bundle.graph.size() * sizeof(htg::Node)), 0, 0});
   }
   return bundle;
-}
-
-parallel::ParallelizeOutcome runParallelize(const htg::Graph& graph,
-                                            const cost::TimingModel& timing,
-                                            const parallel::ParallelizerOptions& options,
-                                            std::vector<PassRecord>* records) {
-  const auto start = Clock::now();
-  parallel::Parallelizer tool(graph, timing, options);
-  parallel::ParallelizeOutcome outcome = tool.run();
-  report(records, {"parallelize", secondsSince(start),
-                   static_cast<long long>(serializeOutcome(outcome).size()), 0, 0});
-  return outcome;
 }
 
 Session::Session(SessionInputs inputs) : inputs_(std::move(inputs)) {
@@ -149,7 +136,6 @@ const parallel::ParallelizeOutcome& Session::parallelize() {
         rec.cacheHits = 1;
         rec.artifactBytes = static_cast<long long>(payload.size());
         rec.wallSeconds = secondsSince(start);
-        TimingRegistry::global().record(rec);
         records_.push_back(std::move(rec));
         return *outcome_;
       }
@@ -171,7 +157,6 @@ const parallel::ParallelizeOutcome& Session::parallelize() {
     rec.cacheMisses = 1;
   }
   rec.wallSeconds = secondsSince(start);
-  TimingRegistry::global().record(rec);
   records_.push_back(std::move(rec));
   return *outcome_;
 }

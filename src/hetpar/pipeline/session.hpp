@@ -17,7 +17,9 @@
 //   emit         annotated source / MPA spec / premap / dot   (codegen, htg/dot)
 //
 // Every pass execution is recorded (wall time, artifact size, persistent
-// cache traffic) in the session and in the process-wide TimingRegistry.
+// cache traffic) in the session's own `passes()`; the ILP statistics of the
+// run live on its ParallelizeOutcome. Nothing is reported to process-wide
+// state, so concurrent or consecutive sessions never mix their numbers.
 //
 // Passes are lazy and idempotent: each runs at most once per session (emit
 // artifacts once per requested artifact) and pulls in its prerequisites.
@@ -43,22 +45,13 @@
 namespace hetpar::pipeline {
 
 /// Runs the frontend passes (parse, sema, sections, htg) standalone,
-/// recording timings into `records` (optional) and the global registry.
+/// recording timings into `records` (optional).
 /// This is the pipeline-client replacement for htg::buildFromSource; the
 /// produced bundle is bit-identical to it.
 htg::FrontendBundle buildFrontend(std::string_view source,
                                   ir::DependenceMode mode = ir::DependenceMode::Conservative,
                                   ir::FlowMode flow = ir::FlowMode::Conservative,
                                   std::vector<PassRecord>* records = nullptr);
-
-/// Runs the parallelize pass standalone over an existing graph/timing pair
-/// (no persistent cache — there is no source to derive a key from). Used by
-/// clients that plan one graph against synthetic platform views (verify
-/// harness, homogeneous baseline sweeps).
-parallel::ParallelizeOutcome runParallelize(const htg::Graph& graph,
-                                            const cost::TimingModel& timing,
-                                            const parallel::ParallelizerOptions& options,
-                                            std::vector<PassRecord>* records = nullptr);
 
 struct SessionInputs {
   std::string name;    ///< diagnostic label (file name, benchmark name)

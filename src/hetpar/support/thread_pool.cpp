@@ -1,8 +1,7 @@
 #include "hetpar/support/thread_pool.hpp"
 
+#include <cstdio>
 #include <exception>
-
-#include "hetpar/support/log.hpp"
 
 namespace hetpar::support {
 
@@ -42,9 +41,9 @@ void ThreadPool::workerLoop() {
     try {
       task();
     } catch (const std::exception& e) {
-      log::error() << "thread pool task escaped with: " << e.what();
+      std::fprintf(stderr, "hetpar: thread pool task escaped with: %s\n", e.what());
     } catch (...) {
-      log::error() << "thread pool task escaped with a non-std exception";
+      std::fprintf(stderr, "hetpar: thread pool task escaped with a non-std exception\n");
     }
   }
 }

@@ -36,15 +36,6 @@ RelationResult skip(Relation r, std::string why) {
   return RelationResult{r, relationName(r), true, true, std::move(why)};
 }
 
-/// The verify harness is a pipeline client: its solves and frontend runs go
-/// through the staged pipeline so every case feeds the process-wide pass
-/// registry (hetpar-fuzz reports the totals in its JSON).
-parallel::ParallelizeOutcome runPipeline(const htg::Graph& graph,
-                                         const cost::TimingModel& timing,
-                                         parallel::ParallelizerOptions options) {
-  return pipeline::runParallelize(graph, timing, options);
-}
-
 /// Every cost in the platform scaled by `factor` (a power of two, so the
 /// scaling is exact in floating point): cores `factor`x slower, bus
 /// `factor`x slower in both latency and bandwidth, TCO `factor`x larger.
@@ -65,7 +56,7 @@ platform::Platform scaledPlatform(const platform::Platform& pf, double factor) {
 RelationResult checkInvariants(const htg::Graph& graph, const cost::TimingModel& timing,
                                const MetamorphicOptions& options) {
   const parallel::ParallelizeOutcome outcome =
-      runPipeline(graph, timing, options.parallelizer);
+      parallel::Parallelizer(graph, timing, options.parallelizer).run();
   InvariantOptions io;
   io.relTol = options.relTol;
   io.absTolSeconds = options.absTolSeconds;
@@ -82,12 +73,12 @@ RelationResult checkCostScaling(const htg::Graph& graph, const platform::Platfor
   constexpr double kFactor = 4.0;
   const cost::TimingModel baseTiming(pf);
   const parallel::ParallelizeOutcome base =
-      runPipeline(graph, baseTiming, options.parallelizer);
+      parallel::Parallelizer(graph, baseTiming, options.parallelizer).run();
 
   const platform::Platform scaled = scaledPlatform(pf, kFactor);
   const cost::TimingModel scaledTiming(scaled);
   const parallel::ParallelizeOutcome slow =
-      runPipeline(graph, scaledTiming, options.parallelizer);
+      parallel::Parallelizer(graph, scaledTiming, options.parallelizer).run();
 
   const parallel::ParallelSet& baseRoot = base.table.at(graph.root());
   const parallel::ParallelSet& slowRoot = slow.table.at(graph.root());
@@ -115,7 +106,8 @@ RelationResult checkSingleClassHomogeneous(const htg::Graph& graph,
   if (pf.classes().size() != 1)
     return skip(Relation::SingleClassHomogeneous, "platform has more than one class");
   const cost::TimingModel timing(pf);
-  const parallel::ParallelizeOutcome het = runPipeline(graph, timing, options.parallelizer);
+  const parallel::ParallelizeOutcome het =
+      parallel::Parallelizer(graph, timing, options.parallelizer).run();
   const parallel::HomogeneousRun homog =
       parallel::runHomogeneousBaseline(graph, pf, 0, options.parallelizer);
   const std::string diff = diffSolutionTables(het.table, homog.outcome.table);
@@ -132,8 +124,8 @@ RelationResult checkJobsInvariance(const htg::Graph& graph, const cost::TimingMo
   seq.jobs = 1;
   parallel::ParallelizerOptions par = options.parallelizer;
   par.jobs = 3;
-  const parallel::ParallelizeOutcome a = runPipeline(graph, timing, seq);
-  const parallel::ParallelizeOutcome b = runPipeline(graph, timing, par);
+  const parallel::ParallelizeOutcome a = parallel::Parallelizer(graph, timing, seq).run();
+  const parallel::ParallelizeOutcome b = parallel::Parallelizer(graph, timing, par).run();
   const std::string diff = diffSolutionTables(a.table, b.table);
   if (diff.empty()) return pass(Relation::JobsInvariance);
   return fail(Relation::JobsInvariance, "--jobs 1 vs --jobs 3 outcomes differ: " + diff);
@@ -145,8 +137,8 @@ RelationResult checkCacheInvariance(const htg::Graph& graph, const cost::TimingM
   off.enableRegionCache = false;
   parallel::ParallelizerOptions on = options.parallelizer;
   on.enableRegionCache = true;
-  const parallel::ParallelizeOutcome a = runPipeline(graph, timing, off);
-  const parallel::ParallelizeOutcome b = runPipeline(graph, timing, on);
+  const parallel::ParallelizeOutcome a = parallel::Parallelizer(graph, timing, off).run();
+  const parallel::ParallelizeOutcome b = parallel::Parallelizer(graph, timing, on).run();
   const std::string diff = diffSolutionTables(a.table, b.table);
   if (!diff.empty())
     return fail(Relation::CacheInvariance, "region cache changed the outcome: " + diff);
@@ -164,7 +156,7 @@ RelationResult checkSimConsistency(const htg::Graph& graph, const platform::Plat
                                    const MetamorphicOptions& options) {
   const cost::TimingModel timing(pf);
   const parallel::ParallelizeOutcome outcome =
-      runPipeline(graph, timing, options.parallelizer);
+      parallel::Parallelizer(graph, timing, options.parallelizer).run();
   const parallel::ParallelSet& root = outcome.table.at(graph.root());
 
   std::vector<platform::ClassId> mains = {pf.fastestClass()};
@@ -341,7 +333,8 @@ RelationResult checkScheduleValidity(const std::string& source, const platform::
   const cost::TimingModel timing(pf);
   parallel::ParallelizerOptions po = options.parallelizer;
   po.dependenceMode = ir::DependenceMode::Affine;
-  const parallel::ParallelizeOutcome outcome = runPipeline(bundle.graph, timing, po);
+  const parallel::ParallelizeOutcome outcome =
+      parallel::Parallelizer(bundle.graph, timing, po).run();
 
   std::vector<platform::ClassId> mains = {pf.fastestClass()};
   if (pf.slowestClass() != pf.fastestClass()) mains.push_back(pf.slowestClass());

@@ -165,6 +165,12 @@ TEST(BranchAndBound, NodeLimitYieldsFeasibleOrLimit) {
   BranchAndBoundSolver solver(opts);
   Solution s = solver.solve(m);
   EXPECT_TRUE(s.status == SolveStatus::Feasible || s.status == SolveStatus::IterationLimit);
+  EXPECT_TRUE(solver.lastStats().unproven);
+
+  // Without the cap the same model is solved to proven optimality.
+  BranchAndBoundSolver unlimited;
+  EXPECT_EQ(unlimited.solve(m).status, SolveStatus::Optimal);
+  EXPECT_FALSE(unlimited.lastStats().unproven);
 }
 
 TEST(BranchAndBound, StatsArePopulated) {

@@ -73,7 +73,6 @@ TEST(RegionCacheTest, KeysSeeEverySolveOption) {
   using Flip = void (*)(ilp::SolveOptions&);
   const std::pair<const char*, Flip> flips[] = {
       {"maxNodes", [](ilp::SolveOptions& so) { so.maxNodes += 1; }},
-      {"integralityTol", [](ilp::SolveOptions& so) { so.integralityTol *= 2.0; }},
       {"engine", [](ilp::SolveOptions& so) { so.engine = ilp::SolverEngine::Dense; }},
   };
   for (const auto& [field, flip] : flips) {

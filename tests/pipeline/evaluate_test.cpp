@@ -8,7 +8,9 @@
 #include <memory>
 #include <string>
 
+#include "affine_programs.hpp"
 #include "hetpar/benchsuite/suite.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace hetpar::pipeline {
@@ -83,6 +85,35 @@ TEST(Evaluate, WarmArtifactCacheReproducesColdNumbers) {
   EXPECT_EQ(warm.heterogeneousStats.numIlps, 0);
 
   std::filesystem::remove_all(dir);
+}
+
+// The requested flow mode reaches the session: an Affine+Live evaluation
+// plans the liveness-pruned graph, exactly like a Live session does.
+TEST(Evaluate, HonoursRequestedFlowMode) {
+  const platform::Platform pf = platform::platformA();
+  const platform::ClassId mainClass = mainClassFor(pf, Scenario::Accelerator);
+  const auto sessionSpeedup = [&](ir::FlowMode flow) {
+    SessionInputs inputs;
+    inputs.source = bench::kStencilSource;
+    inputs.platform = pf;
+    inputs.depMode = ir::DependenceMode::Affine;
+    inputs.flowMode = flow;
+    Session session(std::move(inputs));
+    const Session::SimNumbers sim = session.simulate(mainClass);
+    return sim.sequentialSeconds / sim.parallelSeconds;
+  };
+  const double live = sessionSpeedup(ir::FlowMode::Live);
+  // The fixture must tell the two flow modes apart, or the check below
+  // proves nothing.
+  ASSERT_NE(live, sessionSpeedup(ir::FlowMode::Conservative));
+
+  EvalOptions options;
+  options.parallelizer.dependenceMode = ir::DependenceMode::Affine;
+  options.parallelizer.flowMode = ir::FlowMode::Live;
+  options.runHomogeneousBaseline = false;
+  const EvalResult r = evaluateBenchmark(bench::kStencilName, bench::kStencilSource, pf,
+                                         Scenario::Accelerator, options);
+  EXPECT_EQ(r.heterogeneousSpeedup, live);
 }
 
 }  // namespace

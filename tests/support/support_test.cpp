@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "hetpar/support/error.hpp"
-#include "hetpar/support/log.hpp"
 #include "hetpar/support/rng.hpp"
 #include "hetpar/support/strings.hpp"
 
@@ -91,17 +90,6 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
-}
-
-TEST(Log, LevelGating) {
-  log::ScopedLevel quiet(log::Level::Off);
-  log::error() << "must not crash while gated";
-  EXPECT_EQ(log::level(), log::Level::Off);
-  {
-    log::ScopedLevel chatty(log::Level::Debug);
-    EXPECT_EQ(log::level(), log::Level::Debug);
-  }
-  EXPECT_EQ(log::level(), log::Level::Off);
 }
 
 TEST(Error, HierarchyAndMessages) {

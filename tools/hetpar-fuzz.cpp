@@ -18,6 +18,12 @@
 //
 // Exit codes: 0 all cases passed, 1 usage error, 2 at least one failure.
 //
+// The JSON report (stdout, and the --report file) holds `baseSeed`, the
+// `cases` / `failures` / `skipped` counts, `wallSeconds`, and one `results`
+// entry per case: relation, seed, passed, skipped, plus `detail` and
+// `regression` when set. It carries no solver or pass totals: those belong
+// to individual runs, and the cases mix unrelated relations and engines.
+//
 // Failing program-level cases are delta-debugged down to a chunk-minimal
 // program before being dumped as <relation>-seed<case>.c plus a matching
 // .platform file, ready to be committed as a regression fixture (the
@@ -31,9 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "hetpar/ilp/branch_and_bound.hpp"
 #include "hetpar/ir/dataflow.hpp"
-#include "hetpar/pipeline/pass.hpp"
 #include "hetpar/platform/parser.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/support/strings.hpp"
@@ -280,36 +284,6 @@ int main(int argc, char** argv) {
   json += strings::format("  \"cases\": %d,\n  \"failures\": %d,\n  \"skipped\": %d,\n",
                           ran, failures, skips);
   json += strings::format("  \"wallSeconds\": %.3f,\n", elapsed());
-  // Per-pass totals across every pipeline run the cases performed (the
-  // verify harness drives the same staged pipeline as hetparc).
-  json += "  \"passTimings\": {\n";
-  {
-    const std::map<std::string, pipeline::PassTotals> totals =
-        pipeline::TimingRegistry::global().snapshot();
-    std::size_t k = 0;
-    for (const auto& [name, t] : totals) {
-      json += strings::format(
-          "    \"%s\": {\"runs\": %lld, \"wallSeconds\": %.3f, \"artifactBytes\": %lld, "
-          "\"cacheHits\": %lld, \"cacheMisses\": %lld}%s\n",
-          name.c_str(), t.runs, t.wallSeconds, t.artifactBytes, t.cacheHits,
-          t.cacheMisses, ++k < totals.size() ? "," : "");
-    }
-  }
-  json += "  },\n";
-  // Process-wide LP-engine totals across every branch-and-bound solve the
-  // cases performed (both engines when the differential relation ran).
-  {
-    const ilp::SolverTotals t = ilp::solverTotals();
-    json += "  \"simplex\": {\n";
-    json += strings::format(
-        "    \"solves\": %lld, \"bnbNodes\": %lld, \"iterations\": %lld,\n"
-        "    \"iterationsPerSecond\": %.0f, \"refactorizations\": %lld,\n"
-        "    \"etaUpdates\": %lld, \"peakFillNonzeros\": %lld, \"wallSeconds\": %.3f\n",
-        t.solves, t.bnbNodes, t.simplexIterations,
-        t.wallSeconds > 0 ? static_cast<double>(t.simplexIterations) / t.wallSeconds : 0.0,
-        t.refactorizations, t.etaUpdates, t.peakFillNonzeros, t.wallSeconds);
-    json += "  },\n";
-  }
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const CaseOutcome& o = outcomes[i];

@@ -54,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "hetpar/ilp/branch_and_bound.hpp"
 #include "hetpar/parallel/homogeneous.hpp"
 #include "hetpar/parallel/region_cache.hpp"
 #include "hetpar/pipeline/batch.hpp"
@@ -326,18 +325,21 @@ std::shared_ptr<hetpar::pipeline::ArtifactCache> openCache(const Options& opts) 
   return std::make_shared<hetpar::pipeline::ArtifactCache>(opts.cacheDir);
 }
 
-void printTimings(const std::vector<hetpar::pipeline::PassRecord>& records) {
+/// The pass table plus one `lp engine:` line built from the ILP statistics
+/// of the run it describes (omitted when that run solved nothing).
+void printTimings(const std::vector<hetpar::pipeline::PassRecord>& records,
+                  const hetpar::parallel::IlpStatistics& ilp) {
   std::fprintf(stderr, "%s", hetpar::pipeline::formatPassTable(records).c_str());
-  const hetpar::ilp::SolverTotals t = hetpar::ilp::solverTotals();
-  if (t.solves > 0) {
+  if (ilp.numIlps > 0) {
     std::fprintf(stderr,
                  "lp engine: %lld solves, %lld bnb nodes, %lld simplex iters "
                  "(%.0f iters/s), %lld refactorizations, %lld eta updates, "
                  "peak fill %lld nonzeros\n",
-                 t.solves, t.bnbNodes, t.simplexIterations,
-                 t.wallSeconds > 0 ? static_cast<double>(t.simplexIterations) / t.wallSeconds
-                                   : 0.0,
-                 t.refactorizations, t.etaUpdates, t.peakFillNonzeros);
+                 ilp.numIlps, ilp.bnbNodes, ilp.simplexIterations,
+                 ilp.wallSeconds > 0
+                     ? static_cast<double>(ilp.simplexIterations) / ilp.wallSeconds
+                     : 0.0,
+                 ilp.refactorizations, ilp.etaUpdates, ilp.peakFillNonzeros);
   }
 }
 
@@ -383,11 +385,12 @@ int runSingle(const Options& opts) {
   if (opts.dumpDeps) dumpDeps(bundle);
   if (!opts.emitDot.empty()) writeFile(opts.emitDot, session.emitDot());
   if (opts.seqOnly) {
-    if (opts.explainTimings) printTimings(session.passes());
+    if (opts.explainTimings) printTimings(session.passes(), {});
     return 0;
   }
 
   const parallel::ParallelizeOutcome& outcome = session.parallelize();
+  parallel::IlpStatistics ilp = outcome.stats;  // + the baseline's, when it runs
   if (opts.stats)
     std::printf("heterogeneous ILP statistics: %s\n", outcome.stats.summary().c_str());
 
@@ -416,6 +419,7 @@ int runSingle(const Options& opts) {
       parOpts.flowMode = flowMode;
       parallel::HomogeneousRun homog =
           parallel::runHomogeneousBaseline(bundle.graph, pf, mainClass, parOpts);
+      ilp.merge(homog.outcome.stats);
       if (opts.stats)
         std::printf("homogeneous ILP statistics:   %s\n", homog.outcome.stats.summary().c_str());
       sched::FlattenOptions fo;
@@ -429,7 +433,7 @@ int runSingle(const Options& opts) {
                   sim.sequentialSeconds / hom);
     }
   }
-  if (opts.explainTimings) printTimings(session.passes());
+  if (opts.explainTimings) printTimings(session.passes(), ilp);
   return 0;
 }
 
@@ -493,7 +497,11 @@ int runBatchMode(const Options& opts) {
   }
   std::fprintf(stderr, "hetparc: batch done: %zu programs, %d failures, %.2f s\n",
                report.jobs.size(), report.failures, report.wallSeconds);
-  if (opts.explainTimings) printTimings(report.allPasses());
+  if (opts.explainTimings) {
+    parallel::IlpStatistics ilp;
+    for (const pipeline::BatchJobResult& job : report.jobs) ilp.merge(job.stats);
+    printTimings(report.allPasses(), ilp);
+  }
   return report.failures == 0 ? 0 : 2;
 }
 
