@@ -10,16 +10,10 @@
 
 #include "affine_programs.hpp"
 #include "hetpar/platform/presets.hpp"
-#include "hetpar/pipeline/evaluate.hpp"
 
 namespace {
 
 using namespace hetpar;
-
-double estimate(const char* source, const platform::Platform& pf, ir::DependenceMode mode) {
-  return bench::ilpEstimatedSpeedup(source, pf,
-                                    pipeline::mainClassFor(pf, pipeline::Scenario::Accelerator), mode);
-}
 
 const char* modeName(ir::DependenceMode mode) {
   return mode == ir::DependenceMode::Affine ? "affine" : "conservative";
@@ -45,11 +39,12 @@ int main() {
     for (const ir::DependenceMode mode :
          {ir::DependenceMode::Conservative, ir::DependenceMode::Affine}) {
       std::fprintf(stderr, "[affine_deps] evaluating %s (%s) ...\n", name, modeName(mode));
-      const htg::FrontendBundle bundle = htg::buildFromSource(source, mode);
-      const bench::DepTotals totals = bench::depTotals(bundle.graph);
+      pipeline::Session onA(bench::exampleInputs(source, pa, mode));
+      pipeline::Session onB(bench::exampleInputs(source, pb, mode));
+      const bench::DepTotals totals = bench::depTotals(onA.frontend().graph);
       std::printf("%-16s %-13s %6d %10lld %10.2fx %10.2fx\n", name, modeName(mode),
-                  totals.edges, totals.bytes, estimate(source, pa, mode),
-                  estimate(source, pb, mode));
+                  totals.edges, totals.bytes, bench::estimatedSpeedup(onA),
+                  bench::estimatedSpeedup(onB));
     }
   }
   return 0;

@@ -12,11 +12,9 @@
 // acceptance numbers and the regression guard describe the same programs.
 #pragma once
 
-#include "hetpar/cost/timing.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/htg/graph.hpp"
-#include "hetpar/parallel/parallelizer.hpp"
-#include "hetpar/platform/platform.hpp"
+#include "hetpar/pipeline/evaluate.hpp"
+#include "hetpar/pipeline/session.hpp"
 
 namespace hetpar::bench {
 
@@ -104,22 +102,26 @@ inline DepTotals depTotals(const htg::Graph& g) {
   return t;
 }
 
-/// The ILP's own speedup estimate for the whole program with the main task
-/// on `mainClass`: the root region's sequential candidate time over its
-/// best candidate time. This is the objective the dependence precision
-/// feeds — the simulator adds bus-contention effects on top.
-inline double ilpEstimatedSpeedup(const char* source, const platform::Platform& pf,
-                                  platform::ClassId mainClass, ir::DependenceMode mode) {
-  const htg::FrontendBundle bundle = htg::buildFromSource(source, mode);
-  const cost::TimingModel timing(pf);
-  parallel::ParallelizerOptions options;
-  options.dependenceMode = mode;
-  parallel::Parallelizer tool(bundle.graph, timing, options);
-  const parallel::ParallelizeOutcome outcome = tool.run();
-  const parallel::SolutionRef best = outcome.bestRoot(bundle.graph, mainClass);
-  const auto& rootSet = outcome.table.at(bundle.graph.root());
-  return rootSet.at(rootSet.sequentialFor(mainClass)).timeSeconds /
-         rootSet.at(best.index).timeSeconds;
+/// Session inputs for one of the example programs on `pf`.
+inline pipeline::SessionInputs exampleInputs(const char* source, const platform::Platform& pf,
+                                             ir::DependenceMode dep,
+                                             ir::FlowMode flow = ir::FlowMode::Conservative) {
+  pipeline::SessionInputs in;
+  in.source = source;
+  in.platform = pf;
+  in.depMode = dep;
+  in.flowMode = flow;
+  return in;
+}
+
+/// The ILP's own whole-program speedup estimate (the root region's sequential
+/// time over its best plan's time), main task on the Accelerator-scenario
+/// class. This is the objective the dependence precision feeds; the
+/// simulator adds bus-contention effects on top.
+inline double estimatedSpeedup(pipeline::Session& session) {
+  const platform::Platform& pf = session.inputs().platform;
+  return session.estimates(pipeline::mainClassFor(pf, pipeline::Scenario::Accelerator))
+      .speedup();
 }
 
 }  // namespace hetpar::bench

@@ -17,18 +17,6 @@
 
 namespace hetpar::bench {
 
-/// Both scenarios for one benchmark on one platform. The heterogeneous
-/// parallelization is platform-dependent but scenario-independent, so it
-/// runs once; the homogeneous baseline re-plans per scenario (its uniform
-/// platform view is derived from the scenario's main core).
-using ScenarioPair = pipeline::ScenarioResults;
-
-inline ScenarioPair evaluateBoth(const std::string& name, const std::string& source,
-                                 const platform::Platform& pf,
-                                 const pipeline::EvalOptions& options = {}) {
-  return pipeline::evaluateBenchmarkAllScenarios(name, source, pf, options);
-}
-
 /// Flags shared by the bench binaries.
 struct BenchArgs {
   std::vector<benchsuite::Benchmark> benchmarks;  ///< empty filter = full suite
@@ -84,11 +72,6 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     }
   }
   return args;
-}
-
-/// Parses `--benchmarks a,b,c` style filters; empty = full suite.
-inline std::vector<benchsuite::Benchmark> selectBenchmarks(int argc, char** argv) {
-  return parseBenchArgs(argc, argv).benchmarks;
 }
 
 /// BENCH_parallelizer.json records the repo's perf trajectory as one JSON

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   std::printf("Platform configuration (B): %s\n", pf.summary().c_str());
   for (const auto& b : args.benchmarks) {
     std::fprintf(stderr, "[fig8] evaluating %s ...\n", b.name.c_str());
-    const bench::ScenarioPair pair = bench::evaluateBoth(b.name, b.source, pf, evalOptions);
+    const pipeline::ScenarioResults pair =
+        pipeline::evaluateBenchmarkAllScenarios(b.name, b.source, pf, evalOptions);
     names.push_back(b.name);
     homA.push_back(pair.accelerator.homogeneousSpeedup);
     hetA.push_back(pair.accelerator.heterogeneousSpeedup);

@@ -13,7 +13,6 @@
 
 #include "affine_programs.hpp"
 #include "common.hpp"
-#include "hetpar/pipeline/evaluate.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace {
@@ -32,23 +31,6 @@ long long commTotals(const htg::Graph& g) {
       if (e.from == n.commIn || e.to == n.commOut) bytes += e.bytes;
   }
   return bytes;
-}
-
-double estimate(const char* source, const platform::Platform& pf, ir::FlowMode flow) {
-  const htg::FrontendBundle bundle =
-      htg::buildFromSource(source, ir::DependenceMode::Affine, flow);
-  const cost::TimingModel timing(pf);
-  parallel::ParallelizerOptions options;
-  options.dependenceMode = ir::DependenceMode::Affine;
-  options.flowMode = flow;
-  parallel::Parallelizer tool(bundle.graph, timing, options);
-  const parallel::ParallelizeOutcome outcome = tool.run();
-  const platform::ClassId mainClass =
-      pipeline::mainClassFor(pf, pipeline::Scenario::Accelerator);
-  const parallel::SolutionRef best = outcome.bestRoot(bundle.graph, mainClass);
-  const auto& rootSet = outcome.table.at(bundle.graph.root());
-  return rootSet.at(rootSet.sequentialFor(mainClass)).timeSeconds /
-         rootSet.at(best.index).timeSeconds;
 }
 
 const char* flowName(ir::FlowMode flow) {
@@ -82,12 +64,12 @@ int main() {
     for (const ir::FlowMode flow : {ir::FlowMode::Conservative, ir::FlowMode::Live}) {
       std::fprintf(stderr, "[liveness_payloads] evaluating %s (%s) ...\n", name,
                    flowName(flow));
-      const htg::FrontendBundle bundle =
-          htg::buildFromSource(source, ir::DependenceMode::Affine, flow);
+      pipeline::Session onA(bench::exampleInputs(source, pa, ir::DependenceMode::Affine, flow));
+      pipeline::Session onB(bench::exampleInputs(source, pb, ir::DependenceMode::Affine, flow));
       const int i = flow == ir::FlowMode::Live ? 1 : 0;
-      comm[i] = commTotals(bundle.graph);
-      spdA[i] = estimate(source, pa, flow);
-      spdB[i] = estimate(source, pb, flow);
+      comm[i] = commTotals(onA.frontend().graph);
+      spdA[i] = bench::estimatedSpeedup(onA);
+      spdB[i] = bench::estimatedSpeedup(onB);
       std::printf("%-16s %-13s %10lld %10.2fx %10.2fx\n", name, flowName(flow), comm[i],
                   spdA[i], spdB[i]);
     }

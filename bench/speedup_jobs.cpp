@@ -21,11 +21,11 @@
 #include <memory>
 #include <thread>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/htg/validate.hpp"
 #include "hetpar/parallel/homogeneous.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
 #include "hetpar/parallel/region_cache.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace {
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Prepared> prepared;
   for (const auto& b : args.benchmarks) {
-    htg::FrontendBundle bundle = htg::buildFromSource(b.source);
+    htg::FrontendBundle bundle = pipeline::buildFrontend(b.source);
     htg::validateOrThrow(bundle.graph);
     prepared.push_back({b.name, std::move(bundle)});
   }

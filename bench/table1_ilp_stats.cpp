@@ -12,9 +12,9 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/homogeneous.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 int main(int argc, char** argv) {
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   int count = 0;
   for (const auto& b : args.benchmarks) {
     std::fprintf(stderr, "[table1] parallelizing %s ...\n", b.name.c_str());
-    htg::FrontendBundle bundle = htg::buildFromSource(b.source);
+    htg::FrontendBundle bundle = pipeline::buildFrontend(b.source);
 
     // Homogeneous approach [6]: single-class view of the platform.
     parallel::HomogeneousRun hom =

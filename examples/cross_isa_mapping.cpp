@@ -7,8 +7,8 @@
 // objective).
 #include <cstdio>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 #include "hetpar/sched/flatten.hpp"
 #include "hetpar/sim/energy.hpp"
@@ -42,7 +42,7 @@ int main() {
   std::printf("platform %s\n", pf.summary().c_str());
   std::printf("  gpp: baseline ISA; dsp: float 4x faster, control 2x slower\n\n");
 
-  htg::FrontendBundle bundle = htg::buildFromSource(source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(source);
   const cost::TimingModel timing(pf);
   parallel::Parallelizer tool(bundle.graph, timing);
   parallel::ParallelizeOutcome outcome = tool.run();

@@ -4,14 +4,14 @@
 //   $ ./quickstart
 //
 // Walks the whole public API surface in ~80 lines: parse + profile + HTG
-// (htg::buildFromSource), platform description (platform::platformA), the
+// (pipeline::buildFrontend), platform description (platform::platformA), the
 // ILP-based parallelizer (parallel::Parallelizer), solution inspection, and
 // the annotated-source output (codegen::annotateSource).
 #include <cstdio>
 
 #include "hetpar/codegen/annotate.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 int main() {
@@ -35,7 +35,7 @@ int main() {
 
   // 1. Front end: parse, run sema, profile by interpretation, build the
   //    Augmented Hierarchical Task Graph.
-  htg::FrontendBundle bundle = htg::buildFromSource(source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(source);
   std::printf("program checksum (interpreted): %lld\n", bundle.profile.exitValue);
   std::printf("HTG: %zu nodes, %d hierarchical regions\n\n", bundle.graph.size(),
               bundle.graph.hierarchicalCount());

@@ -16,9 +16,9 @@
 #include "hetpar/codegen/annotate.hpp"
 #include "hetpar/codegen/mpa_spec.hpp"
 #include "hetpar/codegen/premap_spec.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/htg/dot.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 #include "hetpar/sched/flatten.hpp"
 #include "hetpar/sim/mpsoc.hpp"
@@ -39,7 +39,7 @@ int main() {
   const platform::Platform pf = platform::platformA();
 
   std::printf("== 1. Frontend: parse + profile + HTG extraction\n");
-  htg::FrontendBundle bundle = htg::buildFromSource(bench.source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(bench.source);
   std::printf("  checksum %lld, %.0f abstract ops, HTG %zu nodes\n",
               bundle.profile.exitValue, bundle.profile.totalOps, bundle.graph.size());
   writeFile("edge_detect.htg.dot", htg::toDot(bundle.graph));

@@ -28,11 +28,6 @@ class TimingModel {
     return pf_->timeForKinds(c, mix.kind);
   }
 
-  /// Per-class execution time of one execution of statement `stmtId`.
-  double stmtSeconds(platform::ClassId c, const ProgramProfile& profile, int stmtId) const {
-    return seconds(c, profile.of(stmtId).opsPerExec());
-  }
-
   /// Seconds to communicate `bytes` across tasks (one cut data-flow edge).
   double commSeconds(long long bytes) const {
     return pf_->commTimeSeconds(static_cast<double>(bytes));

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "hetpar/cost/interp.hpp"
-#include "hetpar/frontend/parser.hpp"
 #include "hetpar/frontend/printer.hpp"
 #include "hetpar/ir/looppar.hpp"
 #include "hetpar/support/error.hpp"
@@ -289,31 +287,5 @@ class Builder {
 }  // namespace
 
 Graph buildGraph(const BuildInputs& in) { return Builder(in).build(); }
-
-FrontendBundle buildFromSource(std::string_view source, ir::DependenceMode mode,
-                               ir::FlowMode flow) {
-  FrontendBundle bundle;
-  bundle.program = parseProgram(source);
-  bundle.sema = analyze(bundle.program);
-  bundle.defuse = std::make_unique<ir::DefUseAnalysis>(bundle.program, bundle.sema);
-  if (flow == ir::FlowMode::Live) {
-    // The dataflow pass builds its own constprop-sharpened section analysis;
-    // adopt it so the dumps and the dependence layer see the same sections.
-    bundle.dataflow =
-        std::make_unique<ir::DataflowAnalysis>(bundle.program, bundle.sema, *bundle.defuse);
-    bundle.sections = bundle.dataflow->takeSections();
-  } else {
-    bundle.sections = std::make_unique<ir::SectionAnalysis>(bundle.program, bundle.sema);
-  }
-  bundle.profile = cost::interpret(bundle.program, bundle.sema);
-  ir::DependenceOptions dep;
-  dep.mode = mode;
-  dep.sections = bundle.sections.get();
-  dep.flow = flow;
-  dep.dataflow = bundle.dataflow.get();
-  bundle.graph =
-      buildGraph({bundle.program, bundle.sema, *bundle.defuse, bundle.profile, dep});
-  return bundle;
-}
 
 }  // namespace hetpar::htg

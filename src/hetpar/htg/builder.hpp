@@ -26,9 +26,9 @@ struct BuildInputs {
 /// atomic leaves. Throws hetpar::Error on structural problems.
 Graph buildGraph(const BuildInputs& in);
 
-/// Convenience: parse + sema + def/use + profile + build in one call.
-/// Returns the graph plus the analysis artifacts it borrowed (kept alive in
-/// the bundle so the graph's pointers stay valid).
+/// The graph plus the analysis artifacts it borrowed (kept alive in the
+/// bundle so the graph's pointers stay valid). pipeline::buildFrontend makes
+/// one from source.
 struct FrontendBundle {
   frontend::Program program;
   frontend::SemaResult sema;
@@ -39,9 +39,5 @@ struct FrontendBundle {
   cost::ProgramProfile profile;
   Graph graph;
 };
-
-FrontendBundle buildFromSource(std::string_view source,
-                               ir::DependenceMode mode = ir::DependenceMode::Conservative,
-                               ir::FlowMode flow = ir::FlowMode::Conservative);
 
 }  // namespace hetpar::htg

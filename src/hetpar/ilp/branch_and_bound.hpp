@@ -18,12 +18,12 @@
 
 namespace hetpar::ilp {
 
-class BranchAndBoundSolver final : public Solver {
+class BranchAndBoundSolver {
  public:
   explicit BranchAndBoundSolver(SolveOptions options = {}) : options_(options) {}
 
-  Solution solve(const Model& model) override;
-  const SolveStats& lastStats() const override { return stats_; }
+  Solution solve(const Model& model);
+  const SolveStats& lastStats() const { return stats_; }
 
   const SolveOptions& options() const { return options_; }
 

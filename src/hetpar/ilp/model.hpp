@@ -1,9 +1,9 @@
 // Mixed-integer linear programming model builder.
 //
 // The parallelizer (hetpar/parallel) emits its partitioning-and-mapping
-// problem (paper Section IV, Eq 1-18) as a `Model`; any `Solver`
-// implementation can then solve it. This mirrors the paper's tool, where the
-// generated ILPs can be handed to either lp_solve or CPLEX.
+// problem (paper Section IV, Eq 1-18) as a `Model`, which
+// ilp::BranchAndBoundSolver solves. The paper's tool hands the same kind of
+// model to lp_solve or CPLEX.
 #pragma once
 
 #include <cstdint>
@@ -156,15 +156,6 @@ struct SolveStats {
   long long refactorizations = 0;
   long long etaUpdates = 0;
   long long peakFillNonzeros = 0;
-};
-
-/// Abstract MILP solver interface (paper: "the user can choose between
-/// lpsolve and cplex"; here the branch-and-bound solver is the default).
-class Solver {
- public:
-  virtual ~Solver() = default;
-  virtual Solution solve(const Model& model) = 0;
-  virtual const SolveStats& lastStats() const = 0;
 };
 
 }  // namespace hetpar::ilp

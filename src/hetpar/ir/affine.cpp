@@ -4,76 +4,28 @@
 
 namespace hetpar::ir {
 
-using frontend::AssignStmt;
 using frontend::BinaryExpr;
 using frontend::BinaryOp;
-using frontend::DeclStmt;
 using frontend::Expr;
 using frontend::ExprKind;
 using frontend::ForStmt;
-using frontend::StmtKind;
 using frontend::UnaryExpr;
 using frontend::UnaryOp;
 using frontend::VarRef;
 
-namespace {
-
 using ConstEnv = std::map<std::string, long long>;
-
-/// (variable, start value) of the loop init; mirrors the canonical shapes
-/// staticTripCount accepts.
-std::optional<std::pair<std::string, long long>> canonicalInit(const ForStmt& loop,
-                                                               const ConstEnv* env) {
-  if (!loop.init) return std::nullopt;
-  if (loop.init->kind == StmtKind::Decl) {
-    const auto& d = static_cast<const DeclStmt&>(*loop.init);
-    if (!d.init) return std::nullopt;
-    auto v = evalConstInt(*d.init, env);
-    if (!v) return std::nullopt;
-    return std::make_pair(d.name, *v);
-  }
-  if (loop.init->kind == StmtKind::Assign) {
-    const auto& a = static_cast<const AssignStmt&>(*loop.init);
-    if (!a.indices.empty()) return std::nullopt;
-    auto v = evalConstInt(*a.value, env);
-    if (!v) return std::nullopt;
-    return std::make_pair(a.target, *v);
-  }
-  return std::nullopt;
-}
-
-/// The constant step of `var = var +/- c`.
-std::optional<long long> canonicalStep(const ForStmt& loop, const std::string& var,
-                                       const ConstEnv* env) {
-  if (!loop.step || loop.step->kind != StmtKind::Assign) return std::nullopt;
-  const auto& a = static_cast<const AssignStmt&>(*loop.step);
-  if (a.target != var || !a.indices.empty()) return std::nullopt;
-  if (a.value->kind != ExprKind::Binary) return std::nullopt;
-  const auto& b = static_cast<const BinaryExpr&>(*a.value);
-  if (b.lhs->kind != ExprKind::VarRef || static_cast<const VarRef&>(*b.lhs).name != var)
-    return std::nullopt;
-  auto c = evalConstInt(*b.rhs, env);
-  if (!c) return std::nullopt;
-  if (b.op == BinaryOp::Add) return *c;
-  if (b.op == BinaryOp::Sub) return -*c;
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::optional<std::pair<std::string, IvRange>> ivRangeOf(const ForStmt& loop,
                                                          const ConstEnv* env) {
   const auto trip = staticTripCount(loop, env);
   if (!trip || *trip <= 0) return std::nullopt;
-  const auto init = canonicalInit(loop, env);
-  if (!init) return std::nullopt;
-  const auto step = canonicalStep(loop, init->first, env);
-  if (!step || *step == 0) return std::nullopt;
+  const auto canon = matchCanonicalLoop(loop, env);
+  if (!canon) return std::nullopt;
   IvRange range;
-  range.first = init->second;
-  range.step = *step;
-  range.last = init->second + (*trip - 1) * *step;
-  return std::make_pair(init->first, range);
+  range.first = canon->start;
+  range.step = canon->step;
+  range.last = canon->start + (*trip - 1) * canon->step;
+  return std::make_pair(canon->var, range);
 }
 
 std::optional<std::pair<std::string, IvRange>> ivRangeOf(const ForStmt& loop) {

@@ -58,48 +58,39 @@ std::optional<long long> evalConstInt(const Expr& expr) {
   return evalConstInt(expr, nullptr);
 }
 
-namespace {
-
-/// Extracts (variable, start) from the loop init statement.
-std::optional<std::pair<std::string, long long>> initOf(const ForStmt& loop,
-                                                        const ConstEnv* env) {
+std::optional<CanonicalLoop> matchCanonicalLoop(const ForStmt& loop, const ConstEnv* env) {
+  CanonicalLoop out;
+  // Init: `int var = c` or `var = c`.
   if (!loop.init) return std::nullopt;
+  std::optional<long long> start;
   if (loop.init->kind == StmtKind::Decl) {
     const auto& d = static_cast<const DeclStmt&>(*loop.init);
     if (!d.init) return std::nullopt;
-    auto v = evalConstInt(*d.init, env);
-    if (!v) return std::nullopt;
-    return std::make_pair(d.name, *v);
-  }
-  if (loop.init->kind == StmtKind::Assign) {
+    out.var = d.name;
+    start = evalConstInt(*d.init, env);
+  } else if (loop.init->kind == StmtKind::Assign) {
     const auto& a = static_cast<const AssignStmt&>(*loop.init);
     if (!a.indices.empty()) return std::nullopt;
-    auto v = evalConstInt(*a.value, env);
-    if (!v) return std::nullopt;
-    return std::make_pair(a.target, *v);
+    out.var = a.target;
+    start = evalConstInt(*a.value, env);
   }
-  return std::nullopt;
-}
+  if (!start) return std::nullopt;
+  out.start = *start;
 
-/// Extracts the step `i = i (+|-) c` for variable `var`.
-std::optional<long long> stepOf(const ForStmt& loop, const std::string& var,
-                                const ConstEnv* env) {
+  // Step: `var = var (+|-) c` with c != 0.
   if (!loop.step || loop.step->kind != StmtKind::Assign) return std::nullopt;
   const auto& a = static_cast<const AssignStmt&>(*loop.step);
-  if (a.target != var || !a.indices.empty()) return std::nullopt;
+  if (a.target != out.var || !a.indices.empty()) return std::nullopt;
   if (a.value->kind != ExprKind::Binary) return std::nullopt;
   const auto& b = static_cast<const BinaryExpr&>(*a.value);
-  if (b.lhs->kind != ExprKind::VarRef ||
-      static_cast<const VarRef&>(*b.lhs).name != var)
+  if (b.lhs->kind != ExprKind::VarRef || static_cast<const VarRef&>(*b.lhs).name != out.var)
     return std::nullopt;
-  auto c = evalConstInt(*b.rhs, env);
-  if (!c) return std::nullopt;
-  if (b.op == BinaryOp::Add) return *c;
-  if (b.op == BinaryOp::Sub) return -*c;
-  return std::nullopt;
+  const auto c = evalConstInt(*b.rhs, env);
+  if (!c || (b.op != BinaryOp::Add && b.op != BinaryOp::Sub)) return std::nullopt;
+  out.step = b.op == BinaryOp::Add ? *c : -*c;
+  if (out.step == 0) return std::nullopt;
+  return out;
 }
-
-}  // namespace
 
 std::optional<long long> staticTripCount(const ForStmt& loop, const ConstEnv* env) {
   // `env` maps variables to their values at the loop head on every entry
@@ -107,13 +98,9 @@ std::optional<long long> staticTripCount(const ForStmt& loop, const ConstEnv* en
   // never constant across iterations of a nonzero-step loop, so it can never
   // be folded here; every other variable the init/cond/step read is, by the
   // head-environment argument, unchanged between init and head.
-  auto init = initOf(loop, env);
-  if (!init || !loop.cond) return std::nullopt;
-  const auto& [var, start] = *init;
-  auto step = stepOf(loop, var, env);
-  if (!step || *step == 0) return std::nullopt;
-
-  if (loop.cond->kind != ExprKind::Binary) return std::nullopt;
+  const auto canon = matchCanonicalLoop(loop, env);
+  if (!canon || !loop.cond || loop.cond->kind != ExprKind::Binary) return std::nullopt;
+  const auto& [var, start, step] = *canon;
   const auto& cond = static_cast<const BinaryExpr&>(*loop.cond);
   if (cond.lhs->kind != ExprKind::VarRef ||
       static_cast<const VarRef&>(*cond.lhs).name != var)
@@ -132,14 +119,14 @@ std::optional<long long> staticTripCount(const ForStmt& loop, const ConstEnv* en
   }
 
   if ((cond.op == BinaryOp::Lt || cond.op == BinaryOp::Le)) {
-    if (*step <= 0) return std::nullopt;  // non-terminating or backwards
+    if (step <= 0) return std::nullopt;  // non-terminating or backwards
     if (start >= bound) return 0;
-    return (bound - start + *step - 1) / *step;
+    return (bound - start + step - 1) / step;
   }
   // Decreasing loops: `i > bound` with negative step.
-  if (*step >= 0) return std::nullopt;
+  if (step >= 0) return std::nullopt;
   if (start <= bound) return 0;
-  return (start - bound + (-*step) - 1) / (-*step);
+  return (start - bound + (-step) - 1) / (-step);
 }
 
 std::optional<long long> staticTripCount(const ForStmt& loop) {

@@ -14,6 +14,21 @@
 
 namespace hetpar::ir {
 
+/// Induction variable, start value and nonzero step of a canonical loop
+/// `for (var = start; ...; var = var +/- c)`.
+struct CanonicalLoop {
+  std::string var;
+  long long start = 0;
+  long long step = 0;
+};
+
+/// Matches the loop's init and step against the canonical shape, folding
+/// constants through `env` (may be null); nullopt when either does not match
+/// or the step is zero. The one matcher behind staticTripCount and
+/// ir::ivRangeOf.
+std::optional<CanonicalLoop> matchCanonicalLoop(const frontend::ForStmt& loop,
+                                                const std::map<std::string, long long>* env);
+
 /// Trip count of `for (i = c0; i REL c1; i = i +/- c2) ...` with integer
 /// literal constants; nullopt when the loop is not in that canonical shape.
 /// The `env` overload also folds variables the constant-propagation client

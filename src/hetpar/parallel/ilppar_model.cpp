@@ -370,7 +370,7 @@ Model buildIlpParModel(const IlpRegion& region, IlpParVars& vars) {
   return m;
 }
 
-ChunkResult solveChunkIlp(const ChunkRegion& region, ilp::Solver& solver) {
+ChunkResult solveChunkIlp(const ChunkRegion& region, ilp::BranchAndBoundSolver& solver) {
   const int C = static_cast<int>(region.numProcsPerClass.size());
   const int T = std::max(1, region.maxTasks);
   const double ITER = static_cast<double>(region.iterations);
@@ -517,7 +517,7 @@ ChunkResult solveChunkIlp(const ChunkRegion& region, ilp::Solver& solver) {
   return result;
 }
 
-IlpParResult solveIlpPar(const IlpRegion& region, ilp::Solver& solver) {
+IlpParResult solveIlpPar(const IlpRegion& region, ilp::BranchAndBoundSolver& solver) {
   IlpParVars vars;
   const Model model = buildIlpParModel(region, vars);
   const ilp::Solution sol = solver.solve(model);

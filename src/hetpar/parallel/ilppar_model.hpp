@@ -99,7 +99,7 @@ struct IlpParVars {
 ilp::Model buildIlpParModel(const IlpRegion& region, IlpParVars& vars);
 
 /// Builds and solves; decodes the assignment into an IlpParResult.
-IlpParResult solveIlpPar(const IlpRegion& region, ilp::Solver& solver);
+IlpParResult solveIlpPar(const IlpRegion& region, ilp::BranchAndBoundSolver& solver);
 
 // ---------------------------------------------------------------------------
 // DOALL loop splitting at iteration granularity.
@@ -140,6 +140,6 @@ struct ChunkResult {
   ilp::SolveStats stats;
 };
 
-ChunkResult solveChunkIlp(const ChunkRegion& region, ilp::Solver& solver);
+ChunkResult solveChunkIlp(const ChunkRegion& region, ilp::BranchAndBoundSolver& solver);
 
 }  // namespace hetpar::parallel

@@ -270,15 +270,6 @@ std::string serializeOutcome(const parallel::ParallelizeOutcome& outcome) {
     putU64(out, set.size());
     for (const parallel::SolutionCandidate& c : set.all()) putCandidate(out, c);
   }
-  const parallel::IlpStatistics& s = outcome.stats;
-  putI64(out, s.numIlps);
-  putI64(out, s.numVars);
-  putI64(out, s.numConstraints);
-  putI64(out, s.bnbNodes);
-  putI64(out, s.simplexIterations);
-  putF64(out, s.wallSeconds);
-  putI64(out, s.cacheHits);
-  putI64(out, s.cacheMisses);
   return out;
 }
 
@@ -300,11 +291,6 @@ bool deserializeOutcome(std::string_view payload, parallel::ParallelizeOutcome& 
     if (!decoded.table.emplace(static_cast<htg::NodeId>(node), std::move(set)).second)
       return false;  // duplicate node id: corrupt
   }
-  parallel::IlpStatistics& s = decoded.stats;
-  if (!r.i64(s.numIlps) || !r.i64(s.numVars) || !r.i64(s.numConstraints) ||
-      !r.i64(s.bnbNodes) || !r.i64(s.simplexIterations) || !r.f64(s.wallSeconds) ||
-      !r.i64(s.cacheHits) || !r.i64(s.cacheMisses))
-    return false;
   if (!r.ok() || !r.atEnd()) return false;
   out = std::move(decoded);
   return true;

@@ -2,10 +2,11 @@
 //
 // Generalizes the in-process parallel/region_cache across processes: where
 // the region cache memoizes individual ILP solves within one run, this cache
-// persists whole per-program artifacts (today: the serialized
-// ParallelizeOutcome — the expensive part of a compilation) keyed by a
-// digest of everything that determines them (source + platform + dependence
-// mode + outcome-relevant parallelizer options + a format version; see
+// persists whole per-program artifacts (today: the solution table of a
+// ParallelizeOutcome — the expensive part of a compilation; the ILP
+// statistics of the run that solved it are not stored) keyed by a digest of
+// everything that determines them (source + platform + dependence mode +
+// flow mode + outcome-relevant parallelizer options + a format version; see
 // Session::outcomeKey).
 //
 // Trust model: entries are NEVER trusted. Every file carries a magic, a
@@ -39,7 +40,7 @@ class ArtifactCache {
  public:
   /// Bump when the serialized artifact layout or key derivation changes;
   /// entries stamped with any other version are rebuilt, never decoded.
-  static constexpr std::uint32_t kFormatVersion = 2;
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   /// Creates `dir` (and parents) if missing. Throws hetpar::Error when the
   /// directory cannot be created.
@@ -69,9 +70,11 @@ class ArtifactCache {
   mutable std::atomic<unsigned> tempCounter_{0};
 };
 
-/// Byte-exact serialization of a ParallelizeOutcome (solution table +
-/// statistics). Doubles are stored as their bit patterns, so a cache round
-/// trip reproduces the outcome to the last ulp.
+/// Byte-exact serialization of a ParallelizeOutcome's solution table. The
+/// ILP statistics are not stored: they describe the run that solved, and a
+/// decoded outcome (a cache hit, which solved nothing) carries zero stats.
+/// Doubles are stored as their bit patterns, so a cache round trip
+/// reproduces the table to the last ulp.
 std::string serializeOutcome(const parallel::ParallelizeOutcome& outcome);
 
 /// Bounds-checked decode; returns false on any malformed payload.

@@ -5,7 +5,6 @@
 #include <exception>
 #include <future>
 
-#include "hetpar/support/strings.hpp"
 #include "hetpar/support/thread_pool.hpp"
 
 namespace hetpar::pipeline {
@@ -37,21 +36,9 @@ BatchJobResult compileOne(const BatchJob& job, const BatchConfig& config) {
     const platform::ClassId mainClass =
         config.mainClass >= 0 ? config.mainClass : config.platform.slowestClass();
 
-    // Same lines, same formats as single-program hetparc: batch output for a
-    // program is the output the program would get alone.
-    const Session::Estimates est = session.estimates(mainClass);
-    result.report = strings::format(
-        "estimated: sequential %.3f ms, parallel %.3f ms (%.2fx, limit %.2fx)\n",
-        est.sequentialSeconds * 1e3, est.parallelSeconds * 1e3,
-        est.sequentialSeconds / est.parallelSeconds,
-        config.platform.theoreticalMaxSpeedup(mainClass));
-    if (config.simulate) {
-      const Session::SimNumbers sim = session.simulate(mainClass);
-      result.report += strings::format(
-          "simulated: sequential %.3f ms, parallel %.3f ms (%.2fx) over %zu tasks\n",
-          sim.sequentialSeconds * 1e3, sim.parallelSeconds * 1e3,
-          sim.sequentialSeconds / sim.parallelSeconds, sim.taskCount);
-    }
+    result.report = formatEstimates(session.estimates(mainClass),
+                                    config.platform.theoreticalMaxSpeedup(mainClass));
+    if (config.simulate) result.report += formatSimulation(session.simulate(mainClass));
     result.outcomeCached = session.parallelizeWasCached();
     result.stats = session.parallelize().stats;
     result.passes = session.passes();

@@ -47,7 +47,9 @@ struct BatchJobResult {
   std::string name;
   bool ok = false;
   std::string error;   ///< diagnostic when !ok
-  std::string report;  ///< deterministic per-program report text
+  /// Deterministic per-program report: the formatEstimates and
+  /// formatSimulation lines the program would get compiled alone.
+  std::string report;
   bool outcomeCached = false;
   std::vector<PassRecord> passes;
   /// The job's heterogeneous ILP statistics (zero on an artifact-cache hit;

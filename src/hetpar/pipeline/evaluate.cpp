@@ -1,7 +1,5 @@
 #include "hetpar/pipeline/evaluate.hpp"
 
-#include "hetpar/htg/builder.hpp"
-#include "hetpar/htg/validate.hpp"
 #include "hetpar/parallel/homogeneous.hpp"
 #include "hetpar/pipeline/session.hpp"
 #include "hetpar/sched/flatten.hpp"
@@ -13,6 +11,22 @@ platform::ClassId mainClassFor(const platform::Platform& pf, Scenario scenario) 
   return scenario == Scenario::Accelerator ? pf.slowestClass() : pf.fastestClass();
 }
 
+BaselineRun runBaseline(Session& session, platform::ClassId mainClass) {
+  const platform::Platform& pf = session.inputs().platform;
+  const htg::Graph& graph = session.frontend().graph;
+  parallel::ParallelizerOptions po = session.inputs().parallelizer;
+  po.dependenceMode = session.inputs().depMode;
+  po.flowMode = session.inputs().flowMode;
+  const parallel::HomogeneousRun homog =
+      parallel::runHomogeneousBaseline(graph, pf, mainClass, po);
+  sched::FlattenOptions fo;
+  fo.classAwareAllocation = false;
+  const sched::FlattenResult flat =
+      sched::flatten(graph, homog.outcome.table, homog.outcome.bestRoot(graph, 0),
+                     session.timing(), pf.firstCoreOfClass(mainClass), fo);
+  return {homog.outcome.stats, sim::simulate(flat.graph).makespanSeconds};
+}
+
 namespace {
 
 /// Fills one scenario's numbers given the session's heterogeneous outcome.
@@ -20,15 +34,11 @@ EvalResult evaluateScenario(const std::string& name, Session& session, Scenario 
                             const parallel::IlpStatistics& hetStats,
                             const EvalOptions& options) {
   const platform::Platform& pf = session.inputs().platform;
-  const htg::Graph& graph = session.frontend().graph;
 
   EvalResult result;
   result.benchmark = name;
   result.mainClass = mainClassFor(pf, scenario);
   result.theoreticalLimit = pf.theoreticalMaxSpeedup(result.mainClass);
-
-  const cost::TimingModel& realTiming = session.timing();
-  const int mainCore = pf.firstCoreOfClass(result.mainClass);
 
   // Baseline + heterogeneous tool: the session's simulate pass covers the
   // sequential reference and the class-aware implementation of the best
@@ -39,19 +49,10 @@ EvalResult evaluateScenario(const std::string& name, Session& session, Scenario 
   result.heterogeneousSeconds = numbers.parallelSeconds;
   result.heterogeneousSpeedup = result.sequentialSeconds / result.heterogeneousSeconds;
 
-  // Homogeneous baseline [6]: plans against a uniform view of the platform
-  // (all cores look like the main one); its tasks land on the real cores
-  // round-robin, oblivious to classes.
   if (options.runHomogeneousBaseline) {
-    parallel::HomogeneousRun homog = parallel::runHomogeneousBaseline(
-        graph, pf, result.mainClass, options.parallelizer);
-    result.homogeneousStats = homog.outcome.stats;
-    const parallel::SolutionRef best = homog.outcome.bestRoot(graph, 0);
-    sched::FlattenOptions fo;
-    fo.classAwareAllocation = false;
-    const sched::FlattenResult flat =
-        sched::flatten(graph, homog.outcome.table, best, realTiming, mainCore, fo);
-    result.homogeneousSeconds = sim::simulate(flat.graph).makespanSeconds;
+    const BaselineRun homog = runBaseline(session, result.mainClass);
+    result.homogeneousStats = homog.stats;
+    result.homogeneousSeconds = homog.parallelSeconds;
     result.homogeneousSpeedup = result.sequentialSeconds / result.homogeneousSeconds;
   }
   return result;

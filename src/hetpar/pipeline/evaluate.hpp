@@ -51,6 +51,19 @@ struct EvalResult {
   double theoreticalLimit = 0.0;  ///< paper's dashed line
 };
 
+class Session;
+
+/// The homogeneous baseline [6] for the session's program with the main task
+/// on `mainClass`: Algorithm 1 plans against a uniform view of the platform
+/// (every core looks like the main one) under the session's parallelizer
+/// options; its tasks then land on the real cores round-robin, oblivious to
+/// classes, and the result is simulated.
+struct BaselineRun {
+  parallel::IlpStatistics stats;  ///< the baseline's own ILP statistics
+  double parallelSeconds = 0.0;   ///< simulated makespan
+};
+BaselineRun runBaseline(Session& session, platform::ClassId mainClass);
+
 /// Full pipeline: frontend passes + both parallelizers + flatten + simulate.
 /// Throws hetpar::Error on malformed input.
 EvalResult evaluateBenchmark(const std::string& name, const std::string& source,

@@ -14,6 +14,7 @@
 #include "hetpar/sched/flatten.hpp"
 #include "hetpar/sim/mpsoc.hpp"
 #include "hetpar/support/error.hpp"
+#include "hetpar/support/strings.hpp"
 
 namespace hetpar::pipeline {
 
@@ -33,8 +34,6 @@ void report(std::vector<PassRecord>* records, PassRecord rec) {
 
 htg::FrontendBundle buildFrontend(std::string_view source, ir::DependenceMode mode,
                                   ir::FlowMode flow, std::vector<PassRecord>* records) {
-  // Mirrors htg::buildFromSource stage for stage (same calls, same order),
-  // adding only timing. The produced bundle is bit-identical to it.
   htg::FrontendBundle bundle;
   {
     const auto start = Clock::now();
@@ -128,9 +127,6 @@ const parallel::ParallelizeOutcome& Session::parallelize() {
     if (inputs_.artifactCache->load(key, payload)) {
       auto decoded = std::make_unique<parallel::ParallelizeOutcome>();
       if (deserializeOutcome(payload, *decoded) && outcomeFitsGraph(*decoded, bundle.graph)) {
-        // A hit performed no solve: zero the statistics, like the in-process
-        // region cache does.
-        decoded->stats = parallel::IlpStatistics{};
         outcome_ = std::move(decoded);
         parallelizeCached_ = true;
         rec.cacheHits = 1;
@@ -191,6 +187,19 @@ Session::SimNumbers Session::simulate(platform::ClassId mainClass) {
                      static_cast<long long>(flat.graph.tasks.size() * sizeof(sched::SimTask)),
                      0, 0});
   return numbers;
+}
+
+std::string formatEstimates(const Session::Estimates& est, double limit) {
+  return strings::format(
+      "estimated: sequential %.3f ms, parallel %.3f ms (%.2fx, limit %.2fx)\n",
+      est.sequentialSeconds * 1e3, est.parallelSeconds * 1e3, est.speedup(), limit);
+}
+
+std::string formatSimulation(const Session::SimNumbers& sim) {
+  return strings::format(
+      "simulated: sequential %.3f ms, parallel %.3f ms (%.2fx) over %zu tasks\n",
+      sim.sequentialSeconds * 1e3, sim.parallelSeconds * 1e3,
+      sim.sequentialSeconds / sim.parallelSeconds, sim.taskCount);
 }
 
 std::string Session::emitAnnotated(platform::ClassId mainClass) {

@@ -44,10 +44,9 @@
 
 namespace hetpar::pipeline {
 
-/// Runs the frontend passes (parse, sema, sections, htg) standalone,
-/// recording timings into `records` (optional).
-/// This is the pipeline-client replacement for htg::buildFromSource; the
-/// produced bundle is bit-identical to it.
+/// Runs the frontend passes (parse, sema, sections or dataflow, htg)
+/// standalone, recording timings into `records` (optional). The one way to
+/// build a FrontendBundle from source; Session::frontend() calls it too.
 htg::FrontendBundle buildFrontend(std::string_view source,
                                   ir::DependenceMode mode = ir::DependenceMode::Conservative,
                                   ir::FlowMode flow = ir::FlowMode::Conservative,
@@ -84,8 +83,8 @@ class Session {
   /// parse + sema + sections + htg (validated); lazy, runs once.
   const htg::FrontendBundle& frontend();
 
-  /// Algorithm 1 over the HTG, or a verified artifact-cache hit. On a hit
-  /// the outcome's IlpStatistics are zeroed — no solving happened.
+  /// Algorithm 1 over the HTG, or a verified artifact-cache hit. A hit
+  /// carries zero IlpStatistics (the artifact stores none): nothing solved.
   const parallel::ParallelizeOutcome& parallelize();
 
   /// True when the last `parallelize()` was served from the artifact cache.
@@ -96,6 +95,8 @@ class Session {
   struct Estimates {
     double sequentialSeconds = 0.0;
     double parallelSeconds = 0.0;
+
+    double speedup() const { return sequentialSeconds / parallelSeconds; }
   };
   Estimates estimates(platform::ClassId mainClass);
 
@@ -135,5 +136,11 @@ class Session {
   std::unique_ptr<parallel::ParallelizeOutcome> outcome_;
   bool parallelizeCached_ = false;
 };
+
+/// The per-program report lines hetparc prints in single and batch mode
+/// alike: `estimated: ...` (with `limit`, the platform's theoretical maximum
+/// speedup for the main class) and `simulated: ...`.
+std::string formatEstimates(const Session::Estimates& est, double limit);
+std::string formatSimulation(const Session::SimNumbers& sim);
 
 }  // namespace hetpar::pipeline

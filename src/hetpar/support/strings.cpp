@@ -48,10 +48,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string formatMinSec(double seconds) {
   if (seconds < 0) seconds = 0;
   long long total = static_cast<long long>(std::llround(seconds));

@@ -19,9 +19,6 @@ std::vector<std::string> splitWhitespace(std::string_view s);
 /// Joins `parts` with `sep` between elements.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// True if `s` starts with `prefix`.
-bool startsWith(std::string_view s, std::string_view prefix);
-
 /// Renders `seconds` as "MM:SS" (paper's Table I time format).
 std::string formatMinSec(double seconds);
 

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/htg/validate.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/support/error.hpp"
 
 namespace hetpar::benchsuite {
@@ -30,7 +30,7 @@ class EveryBenchmark : public ::testing::TestWithParam<int> {};
 
 TEST_P(EveryBenchmark, ParsesRunsAndValidates) {
   const Benchmark& b = suite()[static_cast<std::size_t>(GetParam())];
-  htg::FrontendBundle bundle = htg::buildFromSource(b.source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(b.source);
   EXPECT_TRUE(htg::validate(bundle.graph).empty()) << b.name;
   EXPECT_NE(bundle.profile.exitValue, 0) << b.name << ": checksum must be nonzero";
   EXPECT_GT(bundle.profile.totalOps, 10'000.0) << b.name << ": workload too small";
@@ -39,8 +39,8 @@ TEST_P(EveryBenchmark, ParsesRunsAndValidates) {
 
 TEST_P(EveryBenchmark, ChecksumIsDeterministic) {
   const Benchmark& b = suite()[static_cast<std::size_t>(GetParam())];
-  htg::FrontendBundle a = htg::buildFromSource(b.source);
-  htg::FrontendBundle c = htg::buildFromSource(b.source);
+  htg::FrontendBundle a = pipeline::buildFrontend(b.source);
+  htg::FrontendBundle c = pipeline::buildFrontend(b.source);
   EXPECT_EQ(a.profile.exitValue, c.profile.exitValue) << b.name;
 }
 
@@ -77,7 +77,7 @@ TEST(Suite, DoallProfiles) {
       {"spectral", 2},     // window + bins
   };
   for (const auto& e : expectations) {
-    htg::FrontendBundle bundle = htg::buildFromSource(find(e.name).source);
+    htg::FrontendBundle bundle = pipeline::buildFrontend(find(e.name).source);
     EXPECT_GE(countDoallLoops(bundle.graph), e.minDoall) << e.name;
   }
 }
@@ -86,7 +86,7 @@ TEST(Suite, SerialLoopsStaySerial) {
   // boundary value's outer time loop and spectral's smoothing must NOT be
   // classified DOALL.
   {
-    htg::FrontendBundle b = htg::buildFromSource(find("bound_value").source);
+    htg::FrontendBundle b = pipeline::buildFrontend(find("bound_value").source);
     bool sawSerialLoop = false;
     b.graph.forEach([&](const htg::Node& n) {
       if (n.kind == htg::NodeKind::Loop && !n.doall && n.iterationsPerExec >= 5.0)
@@ -95,7 +95,7 @@ TEST(Suite, SerialLoopsStaySerial) {
     EXPECT_TRUE(sawSerialLoop) << "the relaxation time loop is carried";
   }
   {
-    htg::FrontendBundle s = htg::buildFromSource(find("spectral").source);
+    htg::FrontendBundle s = pipeline::buildFrontend(find("spectral").source);
     // The recursive smoothing loop reads smooth[k-1]: must be serial.
     bool foundSmoothing = false;
     s.graph.forEach([&](const htg::Node& n) {
@@ -108,7 +108,7 @@ TEST(Suite, SerialLoopsStaySerial) {
 }
 
 TEST(Suite, ReductionsDetectedInChecksumLoops) {
-  htg::FrontendBundle b = htg::buildFromSource(find("fir_256").source);
+  htg::FrontendBundle b = pipeline::buildFrontend(find("fir_256").source);
   bool sawReduction = false;
   b.graph.forEach([&](const htg::Node& n) {
     if (n.kind == htg::NodeKind::Loop && n.doall && !n.reductionVars.empty())

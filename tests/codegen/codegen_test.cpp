@@ -6,8 +6,8 @@
 #include "hetpar/codegen/mpa_spec.hpp"
 #include "hetpar/codegen/premap_spec.hpp"
 #include "hetpar/frontend/parser.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace hetpar::codegen {
@@ -21,7 +21,7 @@ struct Fixture {
   parallel::SolutionRef best;
 
   Fixture()
-      : bundle(htg::buildFromSource(R"(
+      : bundle(pipeline::buildFrontend(R"(
           int a[8192];
           int b[8192];
           int main() {

@@ -1,14 +1,14 @@
-#include "hetpar/htg/builder.hpp"
 
 #include <gtest/gtest.h>
 
 #include "hetpar/htg/dot.hpp"
 #include "hetpar/htg/validate.hpp"
+#include "hetpar/pipeline/session.hpp"
 
 namespace hetpar::htg {
 namespace {
 
-FrontendBundle bundle(const char* src) { return buildFromSource(src); }
+FrontendBundle bundle(const char* src) { return pipeline::buildFrontend(src); }
 
 const Node* findByLabel(const Graph& g, const std::string& needle) {
   const Node* found = nullptr;

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "affine_programs.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/htg/validate.hpp"
-#include "hetpar/platform/presets.hpp"
 #include "hetpar/pipeline/evaluate.hpp"
+#include "hetpar/pipeline/session.hpp"
+#include "hetpar/platform/presets.hpp"
 
 namespace hetpar {
 namespace {
@@ -21,16 +21,16 @@ struct ModePair {
 
 ModePair totalsFor(const char* source) {
   const htg::FrontendBundle cons =
-      htg::buildFromSource(source, ir::DependenceMode::Conservative);
-  const htg::FrontendBundle aff = htg::buildFromSource(source, ir::DependenceMode::Affine);
+      pipeline::buildFrontend(source, ir::DependenceMode::Conservative);
+  const htg::FrontendBundle aff = pipeline::buildFrontend(source, ir::DependenceMode::Affine);
   htg::validateOrThrow(cons.graph);
   htg::validateOrThrow(aff.graph);
   return {bench::depTotals(cons.graph), bench::depTotals(aff.graph)};
 }
 
 double speedup(const char* source, const platform::Platform& pf, ir::DependenceMode mode) {
-  return bench::ilpEstimatedSpeedup(source, pf,
-                                    pipeline::mainClassFor(pf, pipeline::Scenario::Accelerator), mode);
+  pipeline::Session session(bench::exampleInputs(source, pf, mode));
+  return bench::estimatedSpeedup(session);
 }
 
 TEST(AffineExamples, StencilStrictlyReducesEdgesAndBytes) {

@@ -7,8 +7,8 @@
 // loops to the DSP class and keep integer work on the general-purpose one.
 #include <gtest/gtest.h>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace hetpar {
@@ -50,7 +50,7 @@ TEST(CrossIsa, TimeForKindsAppliesFactors) {
 }
 
 TEST(CrossIsa, ProfilerSeparatesKinds) {
-  htg::FrontendBundle b = htg::buildFromSource(kMixedProgram);
+  htg::FrontendBundle b = pipeline::buildFrontend(kMixedProgram);
   // Find the float and int compute loops and compare their mixes.
   const htg::Node* floatLoop = nullptr;
   const htg::Node* intLoop = nullptr;
@@ -71,7 +71,7 @@ TEST(CrossIsa, ProfilerSeparatesKinds) {
 }
 
 TEST(CrossIsa, IlpRoutesFloatWorkToDsp) {
-  htg::FrontendBundle b = htg::buildFromSource(kMixedProgram);
+  htg::FrontendBundle b = pipeline::buildFrontend(kMixedProgram);
   const platform::Platform pf = platform::crossIsaDemo();
   const cost::TimingModel timing(pf);
   parallel::Parallelizer tool(b.graph, timing);

@@ -9,8 +9,8 @@
 
 #include "hetpar/frontend/parser.hpp"
 #include "hetpar/frontend/printer.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/htg/validate.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/verify/generator.hpp"
 
 namespace hetpar {
@@ -31,13 +31,13 @@ TEST_P(RandomProgramSweep, PipelineHolds) {
 
   // Full pipeline: sema + interpreter + HTG.
   htg::FrontendBundle bundle;
-  ASSERT_NO_THROW(bundle = htg::buildFromSource(src)) << "seed " << GetParam() << "\n" << src;
+  ASSERT_NO_THROW(bundle = pipeline::buildFrontend(src)) << "seed " << GetParam() << "\n" << src;
   const auto problems = htg::validate(bundle.graph);
   EXPECT_TRUE(problems.empty()) << "seed " << GetParam() << ": " << problems.front();
   EXPECT_NE(bundle.profile.exitValue, 0) << "seed " << GetParam();
 
   // Determinism: a second run agrees.
-  htg::FrontendBundle again = htg::buildFromSource(src);
+  htg::FrontendBundle again = pipeline::buildFrontend(src);
   EXPECT_EQ(again.profile.exitValue, bundle.profile.exitValue);
   EXPECT_DOUBLE_EQ(again.profile.totalOps, bundle.profile.totalOps);
 }

@@ -9,9 +9,9 @@
 #include <memory>
 
 #include "hetpar/benchsuite/suite.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/homogeneous.hpp"
 #include "hetpar/parallel/region_cache.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace hetpar::parallel {
@@ -88,7 +88,7 @@ TEST(ParallelizerJobs, FullBenchsuiteOutcomeIsJobsInvariant) {
     // the heterogeneous multi-class engine path under the race detector.
     if (kUnderTsan && b.name != "iir_4") continue;
     SCOPED_TRACE(b.name);
-    htg::FrontendBundle bundle = htg::buildFromSource(b.source);
+    htg::FrontendBundle bundle = pipeline::buildFrontend(b.source);
     const ParallelizeOutcome seq = planWithJobs(bundle.graph, pf, 1, opts);
     const ParallelizeOutcome par = planWithJobs(bundle.graph, pf, 4, opts);
     expectSameOutcome(seq, par, b.name);
@@ -103,7 +103,7 @@ TEST(ParallelizerJobs, SpectralInvariantUnderDeterministicLimits) {
   const platform::Platform pf = platform::platformA();
   ParallelizerOptions opts;
   opts.ilpMaxNodes = 300;
-  htg::FrontendBundle bundle = htg::buildFromSource(benchsuite::find("spectral").source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(benchsuite::find("spectral").source);
   const ParallelizeOutcome seq = planWithJobs(bundle.graph, pf, 1, opts);
   const ParallelizeOutcome par = planWithJobs(bundle.graph, pf, 4, opts);
   EXPECT_GT(seq.stats.unprovenSolves, 0) << "the budget no longer binds";
@@ -114,7 +114,7 @@ TEST(ParallelizerJobs, SpectralInvariantUnderDeterministicLimits) {
 TEST(ParallelizerJobs, JobsInvariantOnHomogeneousView) {
   // The baseline planner shares the engine; cover the single-class path.
   const platform::Platform real = platform::platformB();
-  htg::FrontendBundle bundle = htg::buildFromSource(benchsuite::find("fir_256").source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(benchsuite::find("fir_256").source);
   ParallelizerOptions seqOpts;
   seqOpts.jobs = 1;
   ParallelizerOptions parOpts;
@@ -171,7 +171,7 @@ TEST(ParallelizerJobs, DeepNestingSurvivesConcurrentEngine) {
 TEST(ParallelizerJobs, SharedCacheMemoizesAcrossRuns) {
   // Planning the same program twice against the same platform with a shared
   // cache must answer every region request of the second run from memory.
-  htg::FrontendBundle bundle = htg::buildFromSource(benchsuite::find("fir_256").source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(benchsuite::find("fir_256").source);
   const platform::Platform pf = platform::platformA();
   ParallelizerOptions opts;
   opts.regionCache = std::make_shared<IlpRegionCache>();
@@ -187,7 +187,7 @@ TEST(ParallelizerJobs, SharedCacheMemoizesAcrossRuns) {
 }
 
 TEST(ParallelizerJobs, CacheDoesNotChangeTheOutcome) {
-  htg::FrontendBundle bundle = htg::buildFromSource(benchsuite::find("iir_4").source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(benchsuite::find("iir_4").source);
   const platform::Platform pf = platform::platformB();
   ParallelizerOptions cached;  // default: private region cache
   ParallelizerOptions uncached;
@@ -212,7 +212,7 @@ TEST(ParallelizerJobs, IdenticalSubprogramsHitTheCacheWithinOneRun) {
       return a[7] + b[9];
     }
   )";
-  htg::FrontendBundle bundle = htg::buildFromSource(twins);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(twins);
   const ParallelizeOutcome out = planWithJobs(bundle.graph, platform::platformA(), 1);
   EXPECT_GT(out.stats.cacheHits, 0) << "twin subtrees must memoize";
 }
@@ -221,7 +221,7 @@ TEST(ParallelizerJobs, ExhaustedSolverLimitsStillYieldValidPlans) {
   // With a starved node budget every ILP gives up; the engine must fall
   // back to sequential/greedy candidates and never produce a worse-than-
   // sequential "best".
-  htg::FrontendBundle bundle = htg::buildFromSource(benchsuite::find("fir_256").source);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(benchsuite::find("fir_256").source);
   const platform::Platform pf = platform::platformA();
   ParallelizerOptions starved;
   starved.ilpMaxNodes = 1;

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/homogeneous.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace hetpar::parallel {
@@ -20,7 +20,7 @@ struct Run {
 std::unique_ptr<Run> runOn(const char* src, platform::Platform pf,
                            ParallelizerOptions opts = {}) {
   auto r = std::make_unique<Run>();
-  r->bundle = htg::buildFromSource(src);
+  r->bundle = pipeline::buildFrontend(src);
   r->pf = std::move(pf);
   r->timing = std::make_unique<cost::TimingModel>(r->pf);
   Parallelizer par(r->bundle.graph, *r->timing, opts);
@@ -136,7 +136,7 @@ TEST(Parallelizer, StatsCountIlps) {
 
 TEST(Parallelizer, HeterogeneousGeneratesMoreIlpsThanHomogeneous) {
   auto het = runOn(kDoallProgram, platform::platformA());
-  auto bundle = htg::buildFromSource(kDoallProgram);
+  auto bundle = pipeline::buildFrontend(kDoallProgram);
   const platform::Platform real = platform::platformA();
   HomogeneousRun homog =
       runHomogeneousBaseline(bundle.graph, real, real.slowestClass());

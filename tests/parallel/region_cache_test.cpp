@@ -9,9 +9,9 @@
 #include <utility>
 
 #include "hetpar/cost/timing.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
 #include "hetpar/parallel/region_cache.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/support/rng.hpp"
 #include "hetpar/verify/generator.hpp"
 #include "hetpar/verify/metamorphic.hpp"
@@ -151,7 +151,7 @@ TEST(RegionCacheTest, ChunkKeyAndRoundTrip) {
 TEST(RegionCacheTest, SharedCacheMakesSecondRunAllHits) {
   const std::string source = verify::generateProgram(31).render();
   const platform::Platform pf = verify::generatePlatform(31);
-  const htg::FrontendBundle bundle = htg::buildFromSource(source);
+  const htg::FrontendBundle bundle = pipeline::buildFrontend(source);
   const cost::TimingModel timing(pf);
 
   ParallelizerOptions options = verify::MetamorphicOptions::fuzzOptions();
@@ -173,7 +173,7 @@ TEST(RegionCacheTest, SharedCacheMakesSecondRunAllHits) {
 TEST(RegionCacheTest, DisabledCacheReportsNoTraffic) {
   const std::string source = verify::generateProgram(31).render();
   const platform::Platform pf = verify::generatePlatform(31);
-  const htg::FrontendBundle bundle = htg::buildFromSource(source);
+  const htg::FrontendBundle bundle = pipeline::buildFrontend(source);
   const cost::TimingModel timing(pf);
 
   ParallelizerOptions options = verify::MetamorphicOptions::fuzzOptions();

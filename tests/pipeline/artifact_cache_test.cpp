@@ -12,8 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 
 namespace hetpar::pipeline {
@@ -160,7 +160,7 @@ TEST_F(ArtifactCacheTest, ConcurrentWritersAndReadersStayConsistent) {
 }
 
 TEST_F(ArtifactCacheTest, OutcomeSerializationRoundTripsByteExactly) {
-  const htg::FrontendBundle bundle = htg::buildFromSource(R"(
+  const htg::FrontendBundle bundle = pipeline::buildFrontend(R"(
     int main() {
       int a[64]; int b[64]; int s = 0;
       for (int i = 0; i < 64; i = i + 1) { a[i] = i; }

@@ -10,7 +10,6 @@
 #include <string>
 #include <utility>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/region_cache.hpp"
 #include "hetpar/platform/presets.hpp"
 #include "hetpar/verify/metamorphic.hpp"
@@ -41,16 +40,6 @@ SessionInputs inputs() {
   return in;
 }
 
-TEST(Session, FrontendMatchesBuildFromSource) {
-  Session session(inputs());
-  const htg::FrontendBundle& bundle = session.frontend();
-  const htg::FrontendBundle direct = htg::buildFromSource(kSource);
-  EXPECT_EQ(bundle.graph.size(), direct.graph.size());
-  EXPECT_EQ(bundle.graph.hierarchicalCount(), direct.graph.hierarchicalCount());
-  EXPECT_EQ(bundle.profile.totalOps, direct.profile.totalOps);
-  EXPECT_EQ(bundle.profile.exitValue, direct.profile.exitValue);
-}
-
 TEST(Session, PassesAreLazyAndRunOnce) {
   Session session(inputs());
   EXPECT_TRUE(session.passes().empty());
@@ -71,7 +60,7 @@ TEST(Session, OutcomeMatchesDirectParallelizerRun) {
   Session session(inputs());
   const parallel::ParallelizeOutcome& viaSession = session.parallelize();
 
-  const htg::FrontendBundle bundle = htg::buildFromSource(kSource);
+  const htg::FrontendBundle bundle = buildFrontend(kSource);
   // TimingModel keeps a pointer to the platform: it must outlive the solve.
   const platform::Platform pf = platform::platformA();
   const cost::TimingModel timing(pf);

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/homogeneous.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/presets.hpp"
 #include "hetpar/sim/mpsoc.hpp"
 
@@ -31,7 +31,7 @@ struct Fixture {
   std::unique_ptr<cost::TimingModel> timing;
   parallel::ParallelizeOutcome outcome;
 
-  explicit Fixture(platform::Platform p) : bundle(htg::buildFromSource(kProgram)), pf(std::move(p)) {
+  explicit Fixture(platform::Platform p) : bundle(pipeline::buildFrontend(kProgram)), pf(std::move(p)) {
     timing = std::make_unique<cost::TimingModel>(pf);
     parallel::Parallelizer tool(bundle.graph, *timing);
     outcome = tool.run();
@@ -111,7 +111,7 @@ TEST(Flatten, HeterogeneousSpeedupShapeOnPlatformA) {
 TEST(Flatten, ObliviousRoundRobinIgnoresClasses) {
   // The homogeneous baseline's tasks land round-robin; on platform A's
   // scenario II this must cost performance vs the heterogeneous mapping.
-  htg::FrontendBundle bundle = htg::buildFromSource(kProgram);
+  htg::FrontendBundle bundle = pipeline::buildFrontend(kProgram);
   const platform::Platform pf = platform::platformA();
   const cost::TimingModel timing(pf);
   const int mainCore = pf.firstCoreOfClass(pf.fastestClass());

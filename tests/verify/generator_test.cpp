@@ -5,8 +5,8 @@
 // failure replayable from its seed alone.
 #include <gtest/gtest.h>
 
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/htg/validate.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/verify/generator.hpp"
 
 namespace hetpar {
@@ -42,14 +42,14 @@ TEST(GeneratorTest, EveryChunkSubsetIsValid) {
       if (i != drop) subset.push_back(p.statements[i]);
     const verify::GeneratedProgram reduced = p.withStatements(subset);
     htg::FrontendBundle bundle;
-    ASSERT_NO_THROW(bundle = htg::buildFromSource(reduced.render()))
+    ASSERT_NO_THROW(bundle = pipeline::buildFrontend(reduced.render()))
         << "dropping chunk " << drop << ":\n"
         << reduced.render();
     EXPECT_TRUE(htg::validate(bundle.graph).empty());
   }
   // The empty subset (prologue + epilogue only) is valid too.
   const verify::GeneratedProgram empty = p.withStatements({});
-  ASSERT_NO_THROW(htg::buildFromSource(empty.render()));
+  ASSERT_NO_THROW(pipeline::buildFrontend(empty.render()));
 }
 
 TEST(GeneratorTest, PlatformsValidateForManySeeds) {
@@ -79,7 +79,7 @@ TEST(GeneratorTest, ArraySizeOptionIsRespected) {
   options.arraySize = 128;
   const verify::GeneratedProgram p = verify::generateProgram(3, options);
   EXPECT_NE(p.render().find("int ga[128]"), std::string::npos);
-  ASSERT_NO_THROW(htg::buildFromSource(p.render()));
+  ASSERT_NO_THROW(pipeline::buildFrontend(p.render()));
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 #include <memory>
 
 #include "hetpar/cost/timing.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/verify/invariants.hpp"
 #include "hetpar/verify/metamorphic.hpp"
 
@@ -49,7 +49,7 @@ platform::Platform makePlatform() {
 class InvariantsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    bundle_ = new htg::FrontendBundle(htg::buildFromSource(kSource));
+    bundle_ = new htg::FrontendBundle(pipeline::buildFrontend(kSource));
     pf_ = new platform::Platform(makePlatform());
     timing_ = new cost::TimingModel(*pf_);
     parallel::ParallelizerOptions opts =

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "hetpar/cost/timing.hpp"
-#include "hetpar/htg/builder.hpp"
 #include "hetpar/parallel/parallelizer.hpp"
+#include "hetpar/pipeline/session.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/verify/generator.hpp"
 #include "hetpar/verify/metamorphic.hpp"
@@ -99,7 +99,7 @@ TEST(MetamorphicTest, SingleClassRelationEngagesOnSingleClassPlatform) {
 TEST(MetamorphicTest, DiffSolutionTablesDetectsMutations) {
   const std::string source = verify::generateProgram(17).render();
   const platform::Platform pf = verify::generatePlatform(17);
-  const htg::FrontendBundle bundle = htg::buildFromSource(source);
+  const htg::FrontendBundle bundle = pipeline::buildFrontend(source);
   const cost::TimingModel timing(pf);
   parallel::Parallelizer par(bundle.graph, timing,
                              verify::MetamorphicOptions::fuzzOptions());

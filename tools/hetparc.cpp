@@ -54,14 +54,12 @@
 #include <string>
 #include <vector>
 
-#include "hetpar/parallel/homogeneous.hpp"
 #include "hetpar/parallel/region_cache.hpp"
 #include "hetpar/pipeline/batch.hpp"
+#include "hetpar/pipeline/evaluate.hpp"
 #include "hetpar/pipeline/session.hpp"
 #include "hetpar/platform/parser.hpp"
 #include "hetpar/platform/presets.hpp"
-#include "hetpar/sched/flatten.hpp"
-#include "hetpar/sim/mpsoc.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/support/strings.hpp"
 
@@ -394,11 +392,9 @@ int runSingle(const Options& opts) {
   if (opts.stats)
     std::printf("heterogeneous ILP statistics: %s\n", outcome.stats.summary().c_str());
 
-  const pipeline::Session::Estimates est = session.estimates(mainClass);
-  std::printf("estimated: sequential %.3f ms, parallel %.3f ms (%.2fx, limit %.2fx)\n",
-              est.sequentialSeconds * 1e3, est.parallelSeconds * 1e3,
-              est.sequentialSeconds / est.parallelSeconds,
-              pf.theoreticalMaxSpeedup(mainClass));
+  std::printf("%s", pipeline::formatEstimates(session.estimates(mainClass),
+                                              pf.theoreticalMaxSpeedup(mainClass))
+                        .c_str());
 
   if (!opts.emitAnnotated.empty())
     writeFile(opts.emitAnnotated, session.emitAnnotated(mainClass));
@@ -409,28 +405,14 @@ int runSingle(const Options& opts) {
 
   if (opts.simulate) {
     const pipeline::Session::SimNumbers sim = session.simulate(mainClass);
-    std::printf("simulated: sequential %.3f ms, parallel %.3f ms (%.2fx) over %zu tasks\n",
-                sim.sequentialSeconds * 1e3, sim.parallelSeconds * 1e3,
-                sim.sequentialSeconds / sim.parallelSeconds, sim.taskCount);
-
+    std::printf("%s", pipeline::formatSimulation(sim).c_str());
     if (opts.baseline) {
-      parallel::ParallelizerOptions parOpts = session.inputs().parallelizer;
-      parOpts.dependenceMode = depMode;
-      parOpts.flowMode = flowMode;
-      parallel::HomogeneousRun homog =
-          parallel::runHomogeneousBaseline(bundle.graph, pf, mainClass, parOpts);
-      ilp.merge(homog.outcome.stats);
+      const pipeline::BaselineRun homog = pipeline::runBaseline(session, mainClass);
+      ilp.merge(homog.stats);
       if (opts.stats)
-        std::printf("homogeneous ILP statistics:   %s\n", homog.outcome.stats.summary().c_str());
-      sched::FlattenOptions fo;
-      fo.classAwareAllocation = false;
-      const int mainCore = pf.firstCoreOfClass(mainClass);
-      const auto homFlat = sched::flatten(bundle.graph, homog.outcome.table,
-                                          homog.outcome.bestRoot(bundle.graph, 0),
-                                          session.timing(), mainCore, fo);
-      const double hom = sim::simulate(homFlat.graph).makespanSeconds;
-      std::printf("baseline [6]: parallel %.3f ms (%.2fx)\n", hom * 1e3,
-                  sim.sequentialSeconds / hom);
+        std::printf("homogeneous ILP statistics:   %s\n", homog.stats.summary().c_str());
+      std::printf("baseline [6]: parallel %.3f ms (%.2fx)\n", homog.parallelSeconds * 1e3,
+                  sim.sequentialSeconds / homog.parallelSeconds);
     }
   }
   if (opts.explainTimings) printTimings(session.passes(), ilp);
