@@ -13,6 +13,7 @@
 #include "hetpar/ilp/simplex.hpp"
 #include "hetpar/parallel/ilppar_model.hpp"
 #include "hetpar/support/rng.hpp"
+#include "hetpar/support/strings.hpp"
 #include "common.hpp"
 
 namespace {
@@ -34,7 +35,8 @@ Model sparseLp(int nv, int nc, std::uint64_t seed) {
   Rng rng(seed);
   Model m("lp");
   std::vector<Var> xs;
-  for (int i = 0; i < nv; ++i) xs.push_back(m.addContinuous(0, 10, "x" + std::to_string(i)));
+  for (int i = 0; i < nv; ++i)
+    xs.push_back(m.addContinuous(0, 10, hetpar::strings::format("x%d", i)));
   for (int r = 0; r < nc; ++r) {
     LinearExpr lhs;
     const int nnz = static_cast<int>(rng.range(3, 6));

@@ -42,25 +42,26 @@ struct ArrayObj {
     else fdata.assign(n, 0.0);
   }
 
-  std::size_t flatten(const std::vector<long long>& idx) const {
-    HETPAR_CHECK(idx.size() == dims.size());
+  /// `idx` points at one subscript per dimension.
+  std::size_t flatten(const long long* idx, std::size_t n) const {
+    HETPAR_CHECK(n == dims.size());
     std::size_t flat = 0;
-    for (std::size_t k = 0; k < dims.size(); ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
       const long long i = idx[k];
-      require(i >= 0 && i < dims[k],
-              hetpar::strings::format("array index %lld out of bounds [0,%d)", i, dims[k]));
+      if (i < 0 || i >= dims[k])
+        throw Error(strings::format("array index %lld out of bounds [0,%d)", i, dims[k]));
       flat = flat * static_cast<std::size_t>(dims[k]) + static_cast<std::size_t>(i);
     }
     return flat;
   }
 
-  Value get(const std::vector<long long>& idx) const {
-    const std::size_t k = flatten(idx);
+  Value get(const long long* idx, std::size_t n) const {
+    const std::size_t k = flatten(idx, n);
     return elem == ScalarType::Int ? Value::ofInt(idata[k]) : Value::ofFloat(fdata[k]);
   }
 
-  void set(const std::vector<long long>& idx, const Value& v) {
-    const std::size_t k = flatten(idx);
+  void set(const long long* idx, std::size_t n, const Value& v) {
+    const std::size_t k = flatten(idx, n);
     if (elem == ScalarType::Int) idata[k] = v.asInt();
     else fdata[k] = v.asDouble();
   }
@@ -142,20 +143,44 @@ class Interp {
     return nullptr;
   }
 
+  // The checks below run once per variable access: test first, and build
+  // the message only on the throwing path.
   Value loadScalar(Frame& frame, const std::string& name) {
-    Slot* s = find(frame, name);
-    require(s != nullptr, "runtime: unknown variable '" + name + "'");
-    require(std::holds_alternative<Value>(*s), "runtime: '" + name + "' is not scalar");
+    const Slot* s = find(frame, name);
+    if (s == nullptr) throw Error("runtime: unknown variable '" + name + "'");
+    const Value* v = std::get_if<Value>(s);
+    if (v == nullptr) throw Error("runtime: '" + name + "' is not scalar");
     charge(costs_.load, OpKind::Memory);
-    return std::get<Value>(*s);
+    return *v;
   }
 
-  std::shared_ptr<ArrayObj> loadArray(Frame& frame, const std::string& name) {
-    Slot* s = find(frame, name);
-    require(s != nullptr, "runtime: unknown variable '" + name + "'");
-    require(std::holds_alternative<std::shared_ptr<ArrayObj>>(*s),
-            "runtime: '" + name + "' is not an array");
-    return std::get<std::shared_ptr<ArrayObj>>(*s);
+  /// The owning slot of array `name`; element accesses use the raw
+  /// pointer, only array arguments share ownership with the callee frame.
+  const std::shared_ptr<ArrayObj>& arraySlot(Frame& frame, const std::string& name) {
+    const Slot* s = find(frame, name);
+    if (s == nullptr) throw Error("runtime: unknown variable '" + name + "'");
+    const auto* arr = std::get_if<std::shared_ptr<ArrayObj>>(s);
+    if (arr == nullptr) throw Error("runtime: '" + name + "' is not an array");
+    return *arr;
+  }
+
+  /// Evaluates `indices` (charging each subscript's address computation)
+  /// onto the top of subscripts_ and returns where they start. Nested
+  /// subscripts (a[b[i]]) push and pop above, so one buffer serves all.
+  std::size_t pushSubscripts(const std::vector<ExprPtr>& indices, Frame& frame) {
+    const std::size_t base = subscripts_.size();
+    for (const auto& i : indices) {
+      const long long v = eval(*i, frame).asInt();
+      subscripts_.push_back(v);
+      charge(costs_.indexExtra, OpKind::Memory);
+    }
+    return base;
+  }
+
+  void observe(const ArrayObj* arr, std::size_t base, bool isWrite) {
+    if (observer_ == nullptr || !observer_->onAccess) return;
+    observed_.assign(subscripts_.begin() + static_cast<std::ptrdiff_t>(base), subscripts_.end());
+    observer_->onAccess(arr, observed_, isWrite, attribution_);
   }
 
   // --- expressions -----------------------------------------------------------------
@@ -169,16 +194,13 @@ class Interp {
         return loadScalar(frame, static_cast<const VarRef&>(expr).name);
       case ExprKind::Index: {
         const auto& e = static_cast<const IndexExpr&>(expr);
-        auto arr = loadArray(frame, e.name);
-        std::vector<long long> idx;
-        for (const auto& i : e.indices) {
-          idx.push_back(eval(*i, frame).asInt());
-          charge(costs_.indexExtra, OpKind::Memory);
-        }
+        const ArrayObj* arr = arraySlot(frame, e.name).get();
+        const std::size_t base = pushSubscripts(e.indices, frame);
         charge(costs_.load, OpKind::Memory);
-        if (observer_ != nullptr && observer_->onAccess)
-          observer_->onAccess(arr.get(), idx, false, attribution_);
-        return arr->get(idx);
+        observe(arr, base, false);
+        const Value v = arr->get(subscripts_.data() + base, e.indices.size());
+        subscripts_.resize(base);
+        return v;
       }
       case ExprKind::Unary: {
         const auto& e = static_cast<const UnaryExpr&>(expr);
@@ -294,7 +316,7 @@ class Interp {
       const Param& p = callee->params[i];
       if (p.type.isArray()) {
         const auto& ref = static_cast<const VarRef&>(*e.args[i]);
-        calleeFrame.emplace(p.name, loadArray(frame, ref.name));
+        calleeFrame.emplace(p.name, arraySlot(frame, ref.name));
       } else {
         calleeFrame.emplace(p.name, eval(*e.args[i], frame));
       }
@@ -338,7 +360,7 @@ class Interp {
         const auto& s = static_cast<const AssignStmt&>(stmt);
         if (s.indices.empty()) {
           Slot* slot = find(frame, s.target);
-          require(slot != nullptr, "runtime: unknown variable '" + s.target + "'");
+          if (slot == nullptr) throw Error("runtime: unknown variable '" + s.target + "'");
           Value v = eval(*s.value, frame);
           // Preserve the declared scalar kind of the target.
           if (std::holds_alternative<Value>(*slot) && !std::get<Value>(*slot).isFloat)
@@ -348,17 +370,13 @@ class Interp {
           charge(costs_.store, OpKind::Memory);
           *slot = v;
         } else {
-          auto arr = loadArray(frame, s.target);
-          std::vector<long long> idx;
-          for (const auto& i : s.indices) {
-            idx.push_back(eval(*i, frame).asInt());
-            charge(costs_.indexExtra, OpKind::Memory);
-          }
+          ArrayObj* arr = arraySlot(frame, s.target).get();
+          const std::size_t base = pushSubscripts(s.indices, frame);
           const Value v = eval(*s.value, frame);
           charge(costs_.store, OpKind::Memory);
-          if (observer_ != nullptr && observer_->onAccess)
-            observer_->onAccess(arr.get(), idx, true, attribution_);
-          arr->set(idx, v);
+          observe(arr, base, true);
+          arr->set(subscripts_.data() + base, s.indices.size(), v);
+          subscripts_.resize(base);
         }
         return {};
       }
@@ -447,6 +465,8 @@ class Interp {
   const AccessObserver* observer_;
   Frame globals_;
   std::vector<int> attribution_;
+  std::vector<long long> subscripts_;  ///< stack of pending array subscripts
+  std::vector<long long> observed_;    ///< one access's subscripts, for observer_
   double totalOps_ = 0.0;
   ProgramProfile profile_;
 };

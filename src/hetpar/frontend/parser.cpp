@@ -1,5 +1,6 @@
 #include "hetpar/frontend/parser.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "hetpar/frontend/lexer.hpp"
@@ -85,7 +86,11 @@ class Parser {
     while (peek().isPunct("[")) {
       advance();
       if (!peek().is(TokenKind::IntLiteral)) fail("expected constant array dimension");
-      type.dims.push_back(static_cast<int>(advance().intValue));
+      const long long dim = peek().intValue;
+      if (dim < 1 || dim > std::numeric_limits<int>::max())
+        fail("array dimension must be between 1 and 2147483647");
+      advance();
+      type.dims.push_back(static_cast<int>(dim));
       expectPunct("]");
     }
     if (type.dims.size() > 2) fail("mini-C supports at most 2-D arrays");

@@ -94,7 +94,7 @@ std::string typePrefix(const Type& t) {
 
 std::string declText(const Type& t, const std::string& name) {
   std::string out = typePrefix(t) + " " + name;
-  for (int d : t.dims) out += "[" + std::to_string(d) + "]";
+  for (int d : t.dims) out.append("[").append(std::to_string(d)).append("]");
   return out;
 }
 

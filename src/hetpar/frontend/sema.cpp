@@ -177,6 +177,7 @@ class Sema {
       require<SemaError>(g->kind == StmtKind::Decl, "global scope allows declarations only");
       const auto& d = static_cast<const DeclStmt&>(*g);
       if (d.type.isVoid()) fail(d.loc, "variable '" + d.name + "' has void type");
+      checkStorage(d);
       const bool inserted = result_.globals.emplace(d.name, d.type).second;
       if (!inserted) fail(d.loc, "duplicate global '" + d.name + "'");
       if (d.init) checkExpr(*d.init, result_.globals, nullptr);
@@ -201,8 +202,25 @@ class Sema {
     result_.functionScopes.emplace(&fn, std::move(scope));
   }
 
+  /// Enforces the array storage limits. With an acyclic call graph every
+  /// declaration has at most one live object, so the sum over all array
+  /// declarations bounds what the interpreter allocates.
+  void checkStorage(const DeclStmt& d) {
+    if (!d.type.isArray()) return;
+    const long long n = d.type.elementCount();
+    if (n > kMaxArrayElements)
+      fail(d.loc, strings::format("array '%s' has %lld elements, more than the limit of %lld",
+                                  d.name.c_str(), n, kMaxArrayElements));
+    totalArrayElements_ += n;
+    if (totalArrayElements_ > kMaxTotalArrayElements)
+      fail(d.loc, strings::format("array '%s' brings the program's arrays to %lld elements, "
+                                  "more than the limit of %lld",
+                                  d.name.c_str(), totalArrayElements_, kMaxTotalArrayElements));
+  }
+
   void declare(const DeclStmt& d, SymbolTable& scope) {
     if (d.type.isVoid()) fail(d.loc, "variable '" + d.name + "' has void type");
+    checkStorage(d);
     // Unique within the function (flat scope keeps analyses simple); may
     // shadow a same-named global.
     if (scope.count(d.name) > 0 && result_.globals.count(d.name) == 0)
@@ -379,6 +397,7 @@ class Sema {
   Program& program_;
   SemaResult result_;
   std::set<std::string> seenFunctions_;
+  long long totalArrayElements_ = 0;
   std::multimap<std::string, std::string> callEdges_;  // caller -> callee
 };
 

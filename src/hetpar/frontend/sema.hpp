@@ -13,6 +13,15 @@
 
 namespace hetpar::frontend {
 
+/// Storage limits on array declarations, in elements. The profiling
+/// interpreter allocates every array a program declares (8 bytes per
+/// element), so sema turns a hostile size into a located SemaError rather
+/// than a failed allocation. The largest suite array (spectral's
+/// double[128][256]) has 32,768 elements. Array parameters alias their
+/// argument and count toward neither limit.
+inline constexpr long long kMaxArrayElements = 1LL << 22;  ///< one array
+inline constexpr long long kMaxTotalArrayElements = 1LL << 24;  ///< all arrays declared
+
 /// Per-function view of every name visible inside it (globals + params +
 /// locals). Sema enforces that names are unique within a function across
 /// nested scopes, so a flat map is sufficient for all later analyses.

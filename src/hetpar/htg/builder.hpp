@@ -28,7 +28,8 @@ Graph buildGraph(const BuildInputs& in);
 
 /// The graph plus the analysis artifacts it borrowed (kept alive in the
 /// bundle so the graph's pointers stay valid). pipeline::buildFrontend makes
-/// one from source.
+/// one from source. The analyses refer to `program` and `sema` by address:
+/// moving a built bundle leaves them dangling, so keep it where it was built.
 struct FrontendBundle {
   frontend::Program program;
   frontend::SemaResult sema;

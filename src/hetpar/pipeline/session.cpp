@@ -30,11 +30,10 @@ void report(std::vector<PassRecord>* records, PassRecord rec) {
   if (records != nullptr) records->push_back(std::move(rec));
 }
 
-}  // namespace
-
-htg::FrontendBundle buildFrontend(std::string_view source, ir::DependenceMode mode,
-                                  ir::FlowMode flow, std::vector<PassRecord>* records) {
-  htg::FrontendBundle bundle;
+/// Builds the frontend artifacts into `bundle` where it stands: the
+/// analyses keep references to its program and sema.
+void fillFrontend(htg::FrontendBundle& bundle, std::string_view source, ir::DependenceMode mode,
+                  ir::FlowMode flow, std::vector<PassRecord>* records) {
   {
     const auto start = Clock::now();
     bundle.program = frontend::parseProgram(source);
@@ -76,6 +75,14 @@ htg::FrontendBundle buildFrontend(std::string_view source, ir::DependenceMode mo
     report(records, {"htg", secondsSince(start),
                      static_cast<long long>(bundle.graph.size() * sizeof(htg::Node)), 0, 0});
   }
+}
+
+}  // namespace
+
+htg::FrontendBundle buildFrontend(std::string_view source, ir::DependenceMode mode,
+                                  ir::FlowMode flow, std::vector<PassRecord>* records) {
+  htg::FrontendBundle bundle;
+  fillFrontend(bundle, source, mode, flow, records);
   return bundle;
 }
 
@@ -85,9 +92,12 @@ Session::Session(SessionInputs inputs) : inputs_(std::move(inputs)) {
 
 const htg::FrontendBundle& Session::frontend() {
   if (bundle_ != nullptr) return *bundle_;
-  bundle_ = std::make_unique<htg::FrontendBundle>(
-      buildFrontend(inputs_.source, inputs_.depMode, inputs_.flowMode, &records_));
-  htg::validateOrThrow(bundle_->graph);
+  // Built in place, never moved: the analyses emitDot and the dumps use
+  // after the build still point at this bundle's program and sema.
+  auto bundle = std::make_unique<htg::FrontendBundle>();
+  fillFrontend(*bundle, inputs_.source, inputs_.depMode, inputs_.flowMode, &records_);
+  htg::validateOrThrow(bundle->graph);
+  bundle_ = std::move(bundle);
   return *bundle_;
 }
 
@@ -235,24 +245,21 @@ std::string Session::emitPremap(platform::ClassId mainClass) {
 }
 
 std::string Session::emitDot() {
-  const htg::Graph& graph = frontend().graph;
+  const htg::FrontendBundle& bundle = frontend();
+  const auto start = Clock::now();
   std::string text;
   if (inputs_.depMode == ir::DependenceMode::Affine ||
       inputs_.flowMode == ir::FlowMode::Live) {
-    // Overlay the conservative edges the refined analyses pruned; building
-    // the conservative twin records its own frontend passes (it IS a second
-    // frontend run — --explain-timings shows it honestly).
-    const htg::FrontendBundle cons =
-        buildFrontend(inputs_.source, ir::DependenceMode::Conservative,
-                      ir::FlowMode::Conservative, &records_);
-    const auto start = Clock::now();
-    text = htg::toDotWithBaseline(graph, cons.graph);
-    report(&records_, {"emit", secondsSince(start), static_cast<long long>(text.size()), 0, 0});
+    // Overlay the conservative edges the refined analyses pruned. Program,
+    // def/use and profile do not depend on the mode, so the conservative
+    // twin is one more graph build over this session's artifacts.
+    const htg::Graph cons = htg::buildGraph(
+        {bundle.program, bundle.sema, *bundle.defuse, bundle.profile, ir::DependenceOptions{}});
+    text = htg::toDotWithBaseline(bundle.graph, cons);
   } else {
-    const auto start = Clock::now();
-    text = htg::toDot(graph);
-    report(&records_, {"emit", secondsSince(start), static_cast<long long>(text.size()), 0, 0});
+    text = htg::toDot(bundle.graph);
   }
+  report(&records_, {"emit", secondsSince(start), static_cast<long long>(text.size()), 0, 0});
   return text;
 }
 

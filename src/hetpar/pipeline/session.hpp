@@ -110,7 +110,8 @@ class Session {
 
   /// Emit passes. Each renders from the session's artifacts; the dot
   /// emission overlays pruned conservative edges when the session runs in
-  /// affine mode (building the conservative graph counts as emit work).
+  /// affine or live mode (building the conservative graph from the
+  /// session's program, def/use and profile counts as emit work).
   std::string emitAnnotated(platform::ClassId mainClass);
   std::string emitParspec(platform::ClassId mainClass);
   std::string emitPremap(platform::ClassId mainClass);

@@ -64,6 +64,14 @@ namespace detail {
   } while (false)
 
 /// Validates a user-facing precondition; throws the given exception type.
+/// A literal message costs nothing while `cond` holds; a message built
+/// from strings is built before the test, so hot paths test first and
+/// build the message only when they throw.
+template <class Exc = Error>
+inline void require(bool cond, const char* message) {
+  if (!cond) throw Exc(message);
+}
+
 template <class Exc = Error>
 inline void require(bool cond, const std::string& message) {
   if (!cond) throw Exc(message);

@@ -30,6 +30,11 @@ class ChunkGen {
     for (int i = 0; i < depth; ++i) os_ << "  ";
   }
 
+  /// A new identifier: `prefix` followed by a running number.
+  std::string fresh(const char* prefix) {
+    return std::string(prefix).append(std::to_string(counter_++));
+  }
+
   std::string array() {
     switch (rng_.below(3)) {
       case 0: return "ga";
@@ -56,7 +61,7 @@ class ChunkGen {
     if (depth > options_.maxDepth) return;
     switch (rng_.below(9)) {
       case 0: {  // elementwise loop
-        const std::string iv = "i" + std::to_string(counter_++);
+        const std::string iv = fresh("i");
         indent(depth);
         os_ << "for (int " << iv << " = 0; " << iv << " < " << extent() << "; " << iv
             << " = " << iv << " + 1) {\n";
@@ -68,7 +73,7 @@ class ChunkGen {
         break;
       }
       case 1: {  // conditional scalar update
-        const std::string v = "t" + std::to_string(counter_++);
+        const std::string v = fresh("t");
         indent(depth);
         os_ << "int " << v << " = " << rng_.range(0, 30) << ";\n";
         indent(depth);
@@ -79,7 +84,7 @@ class ChunkGen {
         break;
       }
       case 2: {  // while countdown
-        const std::string v = "w" + std::to_string(counter_++);
+        const std::string v = fresh("w");
         indent(depth);
         os_ << "int " << v << " = " << rng_.range(1, 6) << ";\n";
         indent(depth);
@@ -88,8 +93,8 @@ class ChunkGen {
         break;
       }
       case 3: {  // reduction loop
-        const std::string s = "r" + std::to_string(counter_++);
-        const std::string iv = "i" + std::to_string(counter_++);
+        const std::string s = fresh("r");
+        const std::string iv = fresh("i");
         indent(depth);
         os_ << "int " << s << " = 0;\n";
         indent(depth);
@@ -103,7 +108,7 @@ class ChunkGen {
       case 4: {  // adversarial shapes: section-analysis soundness probes
         switch (rng_.below(3)) {
           case 0: {  // loop body mutates its own induction variable
-            const std::string iv = "i" + std::to_string(counter_++);
+            const std::string iv = fresh("i");
             indent(depth);
             os_ << "for (int " << iv << " = 0; " << iv << " < " << extent() << "; "
                 << iv << " = " << iv << " + 1) {\n";
@@ -118,7 +123,7 @@ class ChunkGen {
             break;
           }
           case 1: {  // subscript variable written conditionally
-            const std::string v = "x" + std::to_string(counter_++);
+            const std::string v = fresh("x");
             const int half = extent() / 2;
             indent(depth);
             os_ << "int " << v << " = " << rng_.range(0, half - 1) << ";\n";
@@ -143,7 +148,7 @@ class ChunkGen {
         break;
       }
       case 5: {  // dead stores: values overwritten before any read
-        const std::string v = "d" + std::to_string(counter_++);
+        const std::string v = fresh("d");
         const int k = static_cast<int>(rng_.range(0, extent() - 1));
         const std::string dst = array();
         indent(depth);
@@ -158,8 +163,8 @@ class ChunkGen {
         break;
       }
       case 6: {  // write-only temporary: assigned in a loop, never read
-        const std::string v = "z" + std::to_string(counter_++);
-        const std::string iv = "i" + std::to_string(counter_++);
+        const std::string v = fresh("z");
+        const std::string iv = fresh("i");
         indent(depth);
         os_ << "int " << v << " = 0;\n";
         indent(depth);
@@ -170,9 +175,9 @@ class ChunkGen {
         break;
       }
       case 7: {  // loop bound flowing through constant propagation
-        const std::string a = "n" + std::to_string(counter_++);
-        const std::string b = "m" + std::to_string(counter_++);
-        const std::string iv = "i" + std::to_string(counter_++);
+        const std::string a = fresh("n");
+        const std::string b = fresh("m");
+        const std::string iv = fresh("i");
         const int base = static_cast<int>(rng_.range(2, extent() / 2));
         const int add = static_cast<int>(rng_.range(0, 2));
         const std::string dst = array();
@@ -187,7 +192,7 @@ class ChunkGen {
         break;
       }
       default: {  // affine-subscript loop (offset / strided / disjoint halves)
-        const std::string iv = "i" + std::to_string(counter_++);
+        const std::string iv = fresh("i");
         const std::string dst = array();
         indent(depth);
         switch (rng_.below(3)) {
@@ -207,7 +212,7 @@ class ChunkGen {
             break;
           }
           default: {  // two loops over disjoint halves of one array
-            const std::string iv2 = "i" + std::to_string(counter_++);
+            const std::string iv2 = fresh("i");
             const int half = extent() / 2;
             os_ << "for (int " << iv << " = 0; " << iv << " < " << half << "; " << iv
                 << " = " << iv << " + 1) { " << dst << "[" << iv << "] = " << expr(iv)

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "hetpar/benchsuite/suite.hpp"
 #include "hetpar/frontend/parser.hpp"
+#include "hetpar/pipeline/digest.hpp"
 #include "hetpar/support/error.hpp"
 
 namespace hetpar::cost {
@@ -24,6 +29,17 @@ RunResult run(const char* src) {
   r.sema = analyze(r.program);
   r.profile = interpret(r.program, r.sema);
   return r;
+}
+
+/// The what() text of the hetpar::Error that `fn` throws ("" if none).
+template <class F>
+std::string errorText(F&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Interp, ReturnsMainValue) {
@@ -110,12 +126,19 @@ TEST(Interp, GlobalInitializers) {
 }
 
 TEST(Interp, DivisionByZeroThrows) {
-  EXPECT_THROW(run("int main() { int z = 0; return 1 / z; }"), Error);
+  EXPECT_EQ(errorText([] { run("int main() { int z = 0; return 1 / z; }"); }),
+            "runtime: division by zero");
+  EXPECT_EQ(errorText([] { run("int main() { int z = 0; return 1 % z; }"); }),
+            "runtime: modulo by zero");
 }
 
 TEST(Interp, OutOfBoundsThrows) {
-  EXPECT_THROW(run("int a[4]; int main() { return a[9]; }"), Error);
-  EXPECT_THROW(run("int a[4]; int main() { int i = -1; return a[i]; }"), Error);
+  EXPECT_EQ(errorText([] { run("int a[4]; int main() { return a[9]; }"); }),
+            "array index 9 out of bounds [0,4)");
+  EXPECT_EQ(errorText([] { run("int a[4]; int main() { int i = -1; return a[i]; }"); }),
+            "array index -1 out of bounds [0,4)");
+  EXPECT_EQ(errorText([] { run("int m[3][5]; int main() { m[2][5] = 1; return 0; }"); }),
+            "array index 5 out of bounds [0,5)");
 }
 
 TEST(Interp, StepBudgetAborts) {
@@ -124,7 +147,8 @@ TEST(Interp, StepBudgetAborts) {
   frontend::Program p =
       parseProgram("int main() { int s = 0; for (int i = 0; i < 100000; i = i + 1) { s = s + i; } return s; }");
   auto sema = analyze(p);
-  EXPECT_THROW(interpret(p, sema, {}, limits), Error);
+  EXPECT_EQ(errorText([&] { interpret(p, sema, {}, limits); }),
+            "interpreter exceeded its step budget");
 }
 
 TEST(Interp, ExecutionCountsMatchControlFlow) {
@@ -190,6 +214,53 @@ TEST(Interp, TotalOpsPositiveAndBounded) {
   RunResult r = run("int main() { int x = 1 + 2; return x; }");
   EXPECT_GT(r.profile.totalOps, 0.0);
   EXPECT_LT(r.profile.totalOps, 100.0);
+}
+
+/// Digest of every ProgramProfile field, doubles by exact bit pattern.
+std::string profileDigest(const ProgramProfile& p) {
+  pipeline::Digest d;
+  d.putU64(p.stmts.size());
+  for (const StmtProfile& sp : p.stmts) {
+    d.putI64(sp.execCount);
+    d.putF64(sp.ops);
+    for (double k : sp.mix.kind) d.putF64(k);
+  }
+  d.putF64(p.totalOps);
+  d.putI64(p.exitValue);
+  d.putU64(p.callSiteCalls.size());
+  for (const auto& [site, count] : p.callSiteCalls) {
+    d.putI64(site.first);
+    d.put(site.second);
+    d.putI64(count);
+  }
+  d.putU64(p.functionCalls.size());
+  for (const auto& [callee, count] : p.functionCalls) {
+    d.put(callee);
+    d.putI64(count);
+  }
+  return d.hex();
+}
+
+// The profiles of the ten suite kernels are the cost model's input: any
+// interpreter change must leave every profiled number bit-identical.
+TEST(Interp, SuiteProfilesArePinned) {
+  const std::map<std::string, std::string> pinned = {
+      {"adpcm_enc", "c76afd2738b1f80d130e0cbfd022f92f"},
+      {"bound_value", "da60a9f296c046392e59b9bfc8d9e827"},
+      {"compress", "8fbcd5be0baa47dc03a97c1bceb6832e"},
+      {"edge_detect", "30a44f579beb17a758a8eeeec757b40d"},
+      {"filterbank", "d9628902084776257b2fdabfc1e6b0e3"},
+      {"fir_256", "c317e668a79d2b02e003ac7949e220b0"},
+      {"iir_4", "e5105fef8978123d771ac77e86d977b7"},
+      {"latnrm_32", "8718d3ebb5d4c01cf8507047cf6ec676"},
+      {"mult_10", "36f0871396bf8112e56411bbf80b3e34"},
+      {"spectral", "32ba322346d66c0c617e63a15c9e9b5a"},
+  };
+  ASSERT_EQ(benchsuite::suite().size(), pinned.size());
+  for (const benchsuite::Benchmark& b : benchsuite::suite()) {
+    SCOPED_TRACE(b.name);
+    EXPECT_EQ(profileDigest(run(b.source).profile), pinned.at(b.name));
+  }
 }
 
 }  // namespace

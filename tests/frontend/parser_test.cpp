@@ -120,6 +120,13 @@ TEST(Parser, RejectsThreeDimensionalArrays) {
   EXPECT_THROW(parseProgram("int a[2][2][2]; int main() { return 0; }"), ParseError);
 }
 
+TEST(Parser, RejectsArrayDimensionsOutsideIntRange) {
+  EXPECT_THROW(parseProgram("int a[0]; int main() { return 0; }"), ParseError);
+  // 2^32 - 1 would wrap to -1 as an int dimension.
+  EXPECT_THROW(parseProgram("int a[4294967295]; int main() { return 0; }"), ParseError);
+  EXPECT_NO_THROW(parseProgram("int a[2147483647]; int main() { return 0; }"));
+}
+
 TEST(Parser, RejectsSyntaxErrors) {
   EXPECT_THROW(parseProgram("int main() { return 0 }"), ParseError);       // missing ;
   EXPECT_THROW(parseProgram("int main() { int = 3; }"), ParseError);       // missing name

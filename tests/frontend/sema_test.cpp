@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "hetpar/frontend/parser.hpp"
 #include "hetpar/support/error.hpp"
@@ -145,6 +146,47 @@ TEST(Sema, LookupFindsLocalsParamsGlobals) {
   ASSERT_NE(r.lookup(f, "g"), nullptr);
   EXPECT_TRUE(r.lookup(f, "g")->isArray());
   EXPECT_EQ(r.lookup(f, "nope"), nullptr);
+}
+
+/// The SemaError text `analyze` throws for `src` ("" if it accepts it).
+std::string semaErrorOf(const char* src) {
+  Program p = parsed(src);
+  try {
+    analyze(p);
+  } catch (const SemaError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Sema, RejectsArraysOverTheObjectLimit) {
+  // At the limit is fine; one more element is not, wherever it is declared.
+  static_assert(kMaxArrayElements == 4096LL * 1024);
+  EXPECT_EQ(semaErrorOf("double a[4096][1024]; int main() { return 0; }"), "");
+  EXPECT_EQ(semaErrorOf("int a[4194305]; int main() { return 0; }"),
+            "sema error at line 1: array 'a' has 4194305 elements, more than the limit of "
+            "4194304");
+  EXPECT_EQ(semaErrorOf("int main() {\n  int b[2000000000];\n  return 0;\n}"),
+            "sema error at line 2: array 'b' has 2000000000 elements, more than the limit of "
+            "4194304");
+  EXPECT_EQ(semaErrorOf("int main() { int m[2147483647][2147483647]; return 0; }"),
+            "sema error at line 1: array 'm' has 4611686014132420609 elements, more than the "
+            "limit of 4194304");
+}
+
+TEST(Sema, RejectsArraysOverTheTotalLimit) {
+  // Four arrays at the object limit fill the total; a fifth element anywhere
+  // (here a local of a callee) goes over it. Parameters do not count.
+  static_assert(kMaxTotalArrayElements == 4 * kMaxArrayElements);
+  const std::string four =
+      "int a[4194304]; int b[4194304]; int c[4194304]; double d[2048][2048];\n";
+  EXPECT_EQ(semaErrorOf((four + "int f(int p[4194304]) { return p[0]; }\n"
+                                "int main() { return f(a); }").c_str()),
+            "");
+  EXPECT_EQ(semaErrorOf((four + "int f() { int e[1]; return e[0]; }\n"
+                                "int main() { return f(); }").c_str()),
+            "sema error at line 2: array 'e' brings the program's arrays to 16777217 elements, "
+            "more than the limit of 16777216");
 }
 
 }  // namespace

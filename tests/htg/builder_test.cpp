@@ -108,8 +108,9 @@ TEST(HtgBuilder, IfStaysAtomic) {
     return y;
   })");
   b.graph.forEach([&](const Node& n) {
-    if (n.stmt != nullptr && n.stmt->kind == frontend::StmtKind::If)
+    if (n.stmt != nullptr && n.stmt->kind == frontend::StmtKind::If) {
       EXPECT_EQ(n.kind, NodeKind::Simple);
+    }
   });
 }
 

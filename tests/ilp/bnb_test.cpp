@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "hetpar/support/strings.hpp"
+
 namespace hetpar::ilp {
 namespace {
 
@@ -154,7 +156,7 @@ TEST(BranchAndBound, NodeLimitYieldsFeasibleOrLimit) {
   LinearExpr w, v;
   std::vector<Var> xs;
   for (int i = 0; i < 12; ++i) {
-    xs.push_back(m.addBool("x" + std::to_string(i)));
+    xs.push_back(m.addBool(strings::format("x%d", i)));
     w += LinearExpr::term(3 + (i * 7) % 11, xs.back());
     v += LinearExpr::term(5 + (i * 5) % 13, xs.back());
   }
@@ -195,7 +197,7 @@ TEST(BranchAndBound, SolutionSatisfiesModel) {
   std::vector<Var> xs;
   LinearExpr sum;
   for (int i = 0; i < 8; ++i) {
-    xs.push_back(m.addBool("x" + std::to_string(i)));
+    xs.push_back(m.addBool(strings::format("x%d", i)));
     sum += LinearExpr(xs.back());
   }
   m.addEq(sum, 4.0);

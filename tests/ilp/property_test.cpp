@@ -8,6 +8,7 @@
 
 #include "hetpar/ilp/branch_and_bound.hpp"
 #include "hetpar/support/rng.hpp"
+#include "hetpar/support/strings.hpp"
 
 namespace hetpar::ilp {
 namespace {
@@ -23,7 +24,7 @@ struct RandomBip {
 RandomBip makeRandom(Rng& rng, int nv, int nc) {
   RandomBip out;
   out.model = Model("random_bip");
-  for (int i = 0; i < nv; ++i) out.vars.push_back(out.model.addBool("b" + std::to_string(i)));
+  for (int i = 0; i < nv; ++i) out.vars.push_back(out.model.addBool(strings::format("b%d", i)));
   for (int c = 0; c < nc; ++c) {
     LinearExpr lhs;
     for (int i = 0; i < nv; ++i) {
@@ -105,7 +106,7 @@ TEST_P(RandomMixedSweep, BinaryFixingConsistency) {
 
   Model m("mixed");
   std::vector<Var> bs;
-  for (int i = 0; i < nb; ++i) bs.push_back(m.addBool("b" + std::to_string(i)));
+  for (int i = 0; i < nb; ++i) bs.push_back(m.addBool(strings::format("b%d", i)));
   Var y = m.addContinuous(0, 10, "y");
 
   LinearExpr sumB;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "hetpar/support/strings.hpp"
+
 namespace hetpar::ilp {
 namespace {
 
@@ -181,7 +183,7 @@ TEST(Simplex, ModeratelySizedDiagonalSystem) {
   // 60 rows: x_i + x_{i+1} <= 2 with objective max sum x_i.
   Model m;
   std::vector<Var> xs;
-  for (int i = 0; i < 61; ++i) xs.push_back(m.addContinuous(0, 2, "x" + std::to_string(i)));
+  for (int i = 0; i < 61; ++i) xs.push_back(m.addContinuous(0, 2, strings::format("x%d", i)));
   LinearExpr sum;
   for (auto v : xs) sum += LinearExpr(v);
   for (int i = 0; i < 60; ++i) m.addLe(LinearExpr(xs[i]) + LinearExpr(xs[i + 1]), 2.0);
@@ -273,7 +275,7 @@ Model degenerateAssignment() {
   LinearExpr obj;
   for (int i = 0; i < 3; ++i)
     for (int j = 0; j < 3; ++j) {
-      x[i][j] = m.addContinuous(0, 1, "x" + std::to_string(i) + std::to_string(j));
+      x[i][j] = m.addContinuous(0, 1, strings::format("x%d%d", i, j));
       obj += cost[i][j] * LinearExpr(x[i][j]);
     }
   for (int i = 0; i < 3; ++i) {
@@ -354,7 +356,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ScaleSweep, ::testing::Range(0, 2),
 TEST(SimplexAdversarial, EtaCapTriggersRefactorization) {
   Model m;
   std::vector<Var> xs;
-  for (int i = 0; i < 81; ++i) xs.push_back(m.addContinuous(0, 2, "x" + std::to_string(i)));
+  for (int i = 0; i < 81; ++i) xs.push_back(m.addContinuous(0, 2, strings::format("x%d", i)));
   LinearExpr sum;
   for (auto v : xs) sum += LinearExpr(v);
   for (int i = 0; i < 80; ++i) m.addLe(LinearExpr(xs[i]) + LinearExpr(xs[i + 1]), 2.0);

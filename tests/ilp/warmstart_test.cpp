@@ -5,6 +5,7 @@
 
 #include "hetpar/ilp/simplex.hpp"
 #include "hetpar/support/rng.hpp"
+#include "hetpar/support/strings.hpp"
 
 namespace hetpar::ilp {
 namespace {
@@ -13,7 +14,7 @@ Model randomModel(Rng& rng, int nv, int nc) {
   Model m("warm");
   std::vector<Var> xs;
   for (int i = 0; i < nv; ++i)
-    xs.push_back(m.addContinuous(0, double(rng.range(1, 10)), "x" + std::to_string(i)));
+    xs.push_back(m.addContinuous(0, double(rng.range(1, 10)), strings::format("x%d", i)));
   for (int c = 0; c < nc; ++c) {
     LinearExpr lhs;
     for (int i = 0; i < nv; ++i)

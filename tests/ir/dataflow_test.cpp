@@ -235,11 +235,13 @@ TEST(DataflowConstProp, LoopVariantValuesAreDropped) {
     return a[0];
   })");
   const auto* env1 = c.dfa->constEnvAt(c.mainLoop(1));
-  if (env1 != nullptr)
+  if (env1 != nullptr) {
     EXPECT_TRUE(env1->count("k")) << "k is still 3 at the first loop's head";
+  }
   const auto* env2 = c.dfa->constEnvAt(c.mainLoop(2));
-  if (env2 != nullptr)
+  if (env2 != nullptr) {
     EXPECT_FALSE(env2->count("k")) << "the first loop made k unknown";
+  }
 }
 
 TEST(DataflowConstProp, SharpensInternalSections) {

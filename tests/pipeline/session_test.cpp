@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "hetpar/htg/dot.hpp"
 #include "hetpar/parallel/region_cache.hpp"
 #include "hetpar/platform/presets.hpp"
 #include "hetpar/verify/metamorphic.hpp"
@@ -54,6 +55,25 @@ TEST(Session, PassesAreLazyAndRunOnce) {
   EXPECT_EQ(session.passes().size(), afterFrontend + 1);
   EXPECT_EQ(session.passes().back().name, "parallelize");
   EXPECT_GT(session.passes().back().artifactBytes, 0);
+}
+
+// The dot overlay of pruned conservative edges reuses the session's
+// frontend (one parse, sema and htg run) and renders what a separately
+// built conservative graph gives.
+TEST(Session, DotOverlayReusesTheFrontend) {
+  SessionInputs in = inputs();
+  in.depMode = ir::DependenceMode::Affine;
+  in.flowMode = ir::FlowMode::Live;
+  Session session(std::move(in));
+  const std::string dot = session.emitDot();
+  int frontendRuns = 0;
+  for (const PassRecord& r : session.passes())
+    if (r.name == "parse" || r.name == "sema" || r.name == "htg") ++frontendRuns;
+  EXPECT_EQ(frontendRuns, 3);
+  EXPECT_EQ(session.passes().back().name, "emit");
+
+  const htg::FrontendBundle cons = buildFrontend(kSource);
+  EXPECT_EQ(dot, htg::toDotWithBaseline(session.frontend().graph, cons.graph));
 }
 
 TEST(Session, OutcomeMatchesDirectParallelizerRun) {
