@@ -1,7 +1,7 @@
 // LP engine ablation: the production sparse revised simplex (LU +
-// product-form updates) against the retained dense explicit-inverse engine
-// on ILPPAR-shaped models, plus warm-vs-cold restarts and end-to-end
-// branch-and-bound region solves. Records per-LP solve time, speedup and
+// product-form updates) against the dense explicit-inverse reference
+// (verify/dense_factor.hpp) on ILPPAR-shaped models, plus warm-vs-cold
+// restarts and end-to-end branch-and-bound region solves. Records per-LP solve time, speedup and
 // iteration throughput in the "simplex" section of BENCH_parallelizer.json.
 #include <chrono>
 #include <cstdio>
@@ -14,6 +14,7 @@
 #include "hetpar/parallel/ilppar_model.hpp"
 #include "hetpar/support/rng.hpp"
 #include "hetpar/support/strings.hpp"
+#include "hetpar/verify/dense_factor.hpp"
 #include "common.hpp"
 
 namespace {
@@ -70,13 +71,13 @@ struct EngineResult {
 
 /// Cold-solves each problem `reps` times under one engine.
 EngineResult timeColdSolves(const std::vector<StandardForm>& problems,
-                            SolverEngine engine, int reps) {
+                            BasisFactorFactory makeFactor, int reps) {
   EngineResult out;
   long long solves = 0;
   const double start = now();
   for (int rep = 0; rep < reps; ++rep) {
     for (const StandardForm& sf : problems) {
-      BoundedSimplex splx(1e-9, engine);
+      BoundedSimplex splx(1e-9, makeFactor);
       const LpResult r = splx.solve(sf.problem);
       out.iterations += r.iterations;
       ++solves;
@@ -90,9 +91,9 @@ EngineResult timeColdSolves(const std::vector<StandardForm>& problems,
 
 /// Branch-and-bound restart pattern: re-solve under alternating one-bound
 /// tightenings, warm-starting from the previous optimal basis.
-double timeWarmRestarts(const StandardForm& sf0, SolverEngine engine, int reps) {
+double timeWarmRestarts(const StandardForm& sf0, BasisFactorFactory makeFactor, int reps) {
   StandardForm sf = sf0;
-  BoundedSimplex splx(1e-9, engine);
+  BoundedSimplex splx(1e-9, makeFactor);
   SimplexBasis basis;
   splx.solve(sf.problem, 0, nullptr, &basis);
   const double start = now();
@@ -133,12 +134,11 @@ parallel::IlpRegion representativeRegion(int children, int classes) {
   return r;
 }
 
-double timeIlpParSolves(const parallel::IlpRegion& region, SolverEngine engine, int reps) {
-  SolveOptions so;
-  so.engine = engine;
+double timeIlpParSolves(const parallel::IlpRegion& region, BasisFactorFactory makeFactor,
+                        int reps) {
   const double start = now();
   for (int rep = 0; rep < reps; ++rep) {
-    BranchAndBoundSolver solver(so);
+    BranchAndBoundSolver solver({}, makeFactor);
     parallel::solveIlpPar(region, solver);
   }
   return (now() - start) / static_cast<double>(reps);
@@ -160,18 +160,19 @@ int main() {
     problems.push_back(standardForm(sparseLp(kVars, kRows, 42 + std::uint64_t(i))));
   const int lpCols = problems.front().problem.numCols;
 
-  const EngineResult dense = timeColdSolves(problems, SolverEngine::Dense, kReps);
-  const EngineResult revised = timeColdSolves(problems, SolverEngine::Revised, kReps);
+  const EngineResult dense = timeColdSolves(problems, verify::makeDenseInverseFactor, kReps);
+  const EngineResult revised = timeColdSolves(problems, makeSparseLuFactor, kReps);
   const double speedup = revised.perLpSeconds > 0
                              ? dense.perLpSeconds / revised.perLpSeconds
                              : 0.0;
 
-  const double warmDense = timeWarmRestarts(problems.front(), SolverEngine::Dense, 200);
-  const double warmRevised = timeWarmRestarts(problems.front(), SolverEngine::Revised, 200);
+  const double warmDense =
+      timeWarmRestarts(problems.front(), verify::makeDenseInverseFactor, 200);
+  const double warmRevised = timeWarmRestarts(problems.front(), makeSparseLuFactor, 200);
 
   const parallel::IlpRegion region = representativeRegion(8, 3);
-  const double regionDense = timeIlpParSolves(region, SolverEngine::Dense, 20);
-  const double regionRevised = timeIlpParSolves(region, SolverEngine::Revised, 20);
+  const double regionDense = timeIlpParSolves(region, verify::makeDenseInverseFactor, 20);
+  const double regionRevised = timeIlpParSolves(region, makeSparseLuFactor, 20);
 
   std::printf("LP engine ablation (%d models, %d cols each, %d reps)\n", kModels, lpCols,
               kReps);

@@ -17,8 +17,11 @@
 #include "common.hpp"
 
 #include <chrono>
+#include <deque>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "hetpar/htg/validate.hpp"
@@ -58,15 +61,16 @@ int main(int argc, char** argv) {
                                                      platform::platformB()};
 
   struct Prepared {
+    Prepared(std::string n, std::string_view source)
+        : name(std::move(n)), bundle(pipeline::buildFrontend(source)) {}
+
     std::string name;
     htg::FrontendBundle bundle;
   };
-  std::vector<Prepared> prepared;
-  for (const auto& b : args.benchmarks) {
-    htg::FrontendBundle bundle = pipeline::buildFrontend(b.source);
-    htg::validateOrThrow(bundle.graph);
-    prepared.push_back({b.name, std::move(bundle)});
-  }
+  // A deque never moves its elements: the bundles stay where they were built.
+  std::deque<Prepared> prepared;
+  for (const auto& b : args.benchmarks)
+    htg::validateOrThrow(prepared.emplace_back(b.name, b.source).bundle.graph);
 
   std::vector<LevelResult> results;
   for (const int jobs : levels) {

@@ -1,6 +1,7 @@
 #include "hetpar/frontend/parser.hpp"
 
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "hetpar/frontend/lexer.hpp"
@@ -10,6 +11,22 @@
 namespace hetpar::frontend {
 
 namespace {
+
+/// Binary operator spellings by precedence level, loosest first.
+struct BinaryOpSpelling {
+  std::string_view text;
+  BinaryOp op;
+  int level;
+};
+constexpr BinaryOpSpelling kBinaryOps[] = {
+    {"||", BinaryOp::Or, 0},  {"&&", BinaryOp::And, 1}, {"==", BinaryOp::Eq, 2},
+    {"!=", BinaryOp::Ne, 2},  {"<", BinaryOp::Lt, 3},   {"<=", BinaryOp::Le, 3},
+    {">", BinaryOp::Gt, 3},   {">=", BinaryOp::Ge, 3},  {"+", BinaryOp::Add, 4},
+    {"-", BinaryOp::Sub, 4},  {"*", BinaryOp::Mul, 5},  {"/", BinaryOp::Div, 5},
+    {"%", BinaryOp::Mod, 5},
+};
+/// The level past the tightest binary operator: prefix operators.
+constexpr int kUnaryLevel = 6;
 
 class Parser {
  public:
@@ -32,6 +49,21 @@ class Parser {
   }
 
  private:
+  /// One more level of syntax-tree nesting for the guard's lifetime.
+  struct Nest {
+    explicit Nest(Parser& p) : parser(p) { parser.deeper(); }
+    ~Nest() { --parser.depth_; }
+    Nest(const Nest&) = delete;
+    Parser& parser;
+  };
+
+  /// Rejects input nested deeper than kMaxNestingDepth before this recursive
+  /// descent (or the recursive passes after it) can exhaust the stack.
+  void deeper() {
+    if (++depth_ > kMaxNestingDepth)
+      fail(strings::format("nesting deeper than %d levels", kMaxNestingDepth));
+  }
+
   // --- token plumbing -------------------------------------------------------
   const Token& peek(std::size_t ahead = 0) const {
     const std::size_t i = std::min(pos_ + ahead, tokens_.size() - 1);
@@ -145,6 +177,7 @@ class Parser {
   }
 
   StmtPtr parseStmt() {
+    const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     if (peekIsTypeKeyword()) {
       const Type type = parseType();
@@ -288,91 +321,42 @@ class Parser {
   }
 
   // --- expressions (precedence climbing) -----------------------------------------
-  ExprPtr parseExpr() { return parseOr(); }
+  ExprPtr parseExpr() {
+    const Nest nest(*this);
+    return parseBinary(0);
+  }
 
-  ExprPtr parseOr() {
-    ExprPtr lhs = parseAnd();
-    while (peek().isPunct("||")) {
+  /// Left-associative binary operators at `level` and tighter. Each operator
+  /// of a chain nests the chain's tree one level deeper.
+  ExprPtr parseBinary(int level) {
+    if (level == kUnaryLevel) return parseUnary();
+    ExprPtr lhs = parseBinary(level + 1);
+    const int outer = depth_;
+    while (const BinaryOpSpelling* op = peekBinaryOp(level)) {
       advance();
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::Or, std::move(lhs), parseAnd());
+      deeper();
+      lhs = std::make_unique<BinaryExpr>(op->op, std::move(lhs), parseBinary(level + 1));
     }
+    depth_ = outer;
     return lhs;
   }
 
-  ExprPtr parseAnd() {
-    ExprPtr lhs = parseEquality();
-    while (peek().isPunct("&&")) {
-      advance();
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::And, std::move(lhs), parseEquality());
-    }
-    return lhs;
-  }
-
-  ExprPtr parseEquality() {
-    ExprPtr lhs = parseRelational();
-    while (peek().isPunct("==") || peek().isPunct("!=")) {
-      const BinaryOp op = peek().isPunct("==") ? BinaryOp::Eq : BinaryOp::Ne;
-      advance();
-      lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), parseRelational());
-    }
-    return lhs;
-  }
-
-  ExprPtr parseRelational() {
-    ExprPtr lhs = parseAdditive();
-    while (peek().isPunct("<") || peek().isPunct("<=") || peek().isPunct(">") ||
-           peek().isPunct(">=")) {
-      BinaryOp op = BinaryOp::Lt;
-      if (peek().isPunct("<=")) op = BinaryOp::Le;
-      else if (peek().isPunct(">")) op = BinaryOp::Gt;
-      else if (peek().isPunct(">=")) op = BinaryOp::Ge;
-      advance();
-      lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), parseAdditive());
-    }
-    return lhs;
-  }
-
-  ExprPtr parseAdditive() {
-    ExprPtr lhs = parseMultiplicative();
-    while (peek().isPunct("+") || peek().isPunct("-")) {
-      const BinaryOp op = peek().isPunct("+") ? BinaryOp::Add : BinaryOp::Sub;
-      advance();
-      lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), parseMultiplicative());
-    }
-    return lhs;
-  }
-
-  ExprPtr parseMultiplicative() {
-    ExprPtr lhs = parseUnary();
-    while (peek().isPunct("*") || peek().isPunct("/") || peek().isPunct("%")) {
-      BinaryOp op = BinaryOp::Mul;
-      if (peek().isPunct("/")) op = BinaryOp::Div;
-      else if (peek().isPunct("%")) op = BinaryOp::Mod;
-      advance();
-      lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), parseUnary());
-    }
-    return lhs;
+  const BinaryOpSpelling* peekBinaryOp(int level) const {
+    for (const BinaryOpSpelling& op : kBinaryOps)
+      if (op.level == level && peek().isPunct(op.text)) return &op;
+    return nullptr;
   }
 
   ExprPtr parseUnary() {
     const SourceLoc loc = peek().loc;
-    if (peek().isPunct("-")) {
-      advance();
-      auto e = std::make_unique<UnaryExpr>(UnaryOp::Neg, parseUnary());
-      e->loc = loc;
-      return e;
-    }
-    if (peek().isPunct("!")) {
-      advance();
-      auto e = std::make_unique<UnaryExpr>(UnaryOp::Not, parseUnary());
-      e->loc = loc;
-      return e;
-    }
-    if (peek().isPunct("+")) {
-      advance();
-      return parseUnary();
-    }
-    return parsePrimary();
+    if (!peek().isPunct("-") && !peek().isPunct("!") && !peek().isPunct("+"))
+      return parsePrimary();
+    const Nest nest(*this);
+    if (consumePunct("+")) return parseUnary();
+    const UnaryOp op = advance().isPunct("-") ? UnaryOp::Neg : UnaryOp::Not;
+    auto e = std::make_unique<UnaryExpr>(op, parseUnary());
+    e->loc = loc;
+    return e;
   }
 
   ExprPtr parsePrimary() {
@@ -426,6 +410,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< syntax-tree nesting at the current position
 };
 
 }  // namespace

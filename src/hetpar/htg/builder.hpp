@@ -2,6 +2,8 @@
 // profiled mini-C program (paper Section III-A).
 #pragma once
 
+#include <concepts>
+
 #include "hetpar/cost/profile.hpp"
 #include "hetpar/frontend/sema.hpp"
 #include "hetpar/htg/graph.hpp"
@@ -28,9 +30,20 @@ Graph buildGraph(const BuildInputs& in);
 
 /// The graph plus the analysis artifacts it borrowed (kept alive in the
 /// bundle so the graph's pointers stay valid). pipeline::buildFrontend makes
-/// one from source. The analyses refer to `program` and `sema` by address:
-/// moving a built bundle leaves them dangling, so keep it where it was built.
+/// one from source. The analyses refer to `program` and `sema` by address,
+/// so a bundle is filled where it stands and can be neither copied nor moved
+/// (the deleted copy operations suppress the moves).
 struct FrontendBundle {
+  FrontendBundle() = default;
+  /// Runs `fill(*this)`, so a function can return a bundle built in place.
+  template <class Fill>
+    requires std::invocable<Fill&, FrontendBundle&>
+  explicit FrontendBundle(Fill&& fill) {
+    fill(*this);
+  }
+  FrontendBundle(const FrontendBundle&) = delete;
+  FrontendBundle& operator=(const FrontendBundle&) = delete;
+
   frontend::Program program;
   frontend::SemaResult sema;
   std::unique_ptr<ir::DefUseAnalysis> defuse;

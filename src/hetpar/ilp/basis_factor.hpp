@@ -10,23 +10,14 @@
 //   update      replace the column at one slot after a pivot, given the
 //               FTRAN'd entering column w = B^{-1} a_entering
 //
-// Two implementations live behind this interface:
-//
-//   SparseLuFactor   sparse LU via Gaussian elimination with Markowitz-style
-//                    pivot selection (fill-in control) and threshold partial
-//                    pivoting (stability), FTRAN/BTRAN against the stored
-//                    L/U factors, product-form eta updates per simplex pivot
-//                    and an eta-length trigger that asks the driver to
-//                    refactorize. This is the production engine: the
-//                    parallelizer's ILPPAR models touch 2-5 variables per
-//                    constraint, so factors and etas stay tiny while the
-//                    dense inverse pays O(m^2) per iteration regardless.
-//
-//   DenseInverseFactor  the seed's explicit dense inverse (Gauss-Jordan
-//                    refactorization, rank-1 pivot updates). Kept behind
-//                    SolverEngine::Dense as the test-only differential
-//                    oracle for the revised engine; nothing in the tool
-//                    flow selects it.
+// The production implementation is SparseLuFactor: sparse LU via Gaussian
+// elimination with Markowitz-style pivot selection (fill-in control) and
+// threshold partial pivoting (stability), FTRAN/BTRAN against the stored
+// L/U factors, product-form eta updates per simplex pivot and an eta-length
+// trigger that asks the driver to refactorize. The parallelizer's ILPPAR
+// models touch 2-5 variables per constraint, so factors and etas stay tiny.
+// The differential tests and the fuzzer substitute the seed's explicit dense
+// inverse (verify/dense_factor.hpp) through a `BasisFactorFactory`.
 #pragma once
 
 #include <algorithm>
@@ -64,9 +55,8 @@ class BasisFactor {
   virtual void ftran(std::vector<double>& v) const = 0;
 
   /// FTRAN of a sparse column: scatters `col` into `out` (pre-sized to m,
-  /// zeroed here) and solves. The dense engine overrides this to exploit
-  /// column sparsity the way the seed's explicit-inverse loop did, so the
-  /// differential oracle keeps its historical per-iteration cost.
+  /// zeroed here) and solves. The dense reference overrides this to exploit
+  /// column sparsity the way the seed's explicit-inverse loop did.
   virtual void ftranColumn(const std::vector<std::pair<int, double>>& col,
                            std::vector<double>& out) const {
     std::fill(out.begin(), out.end(), 0.0);
@@ -97,7 +87,10 @@ class BasisFactor {
   FactorStats stats_;
 };
 
-/// Factory keyed on the engine flag in SolveOptions.
-std::unique_ptr<BasisFactor> makeBasisFactor(SolverEngine engine);
+/// Makes the (empty) basis representation each simplex solve starts from.
+using BasisFactorFactory = std::unique_ptr<BasisFactor> (*)();
+
+/// The production representation: sparse LU with eta updates.
+std::unique_ptr<BasisFactor> makeSparseLuFactor();
 
 }  // namespace hetpar::ilp

@@ -57,7 +57,7 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
   StandardForm sf = buildLp(model, rootLower, rootUpper);
   LpProblem& lp = sf.problem;
 
-  BoundedSimplex simplex(1e-9, options_.engine);
+  BoundedSimplex simplex(1e-9, makeFactor_);
 
   Solution best;
   best.status = SolveStatus::Infeasible;

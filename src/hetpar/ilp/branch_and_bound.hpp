@@ -20,15 +20,18 @@ namespace hetpar::ilp {
 
 class BranchAndBoundSolver {
  public:
-  explicit BranchAndBoundSolver(SolveOptions options = {}) : options_(options) {}
+  /// `makeFactor` makes the LP engine's basis representation: the
+  /// production sparse LU, or in tests the dense reference (BoundedSimplex).
+  explicit BranchAndBoundSolver(SolveOptions options = {},
+                                BasisFactorFactory makeFactor = makeSparseLuFactor)
+      : options_(options), makeFactor_(makeFactor) {}
 
   Solution solve(const Model& model);
   const SolveStats& lastStats() const { return stats_; }
 
-  const SolveOptions& options() const { return options_; }
-
  private:
   SolveOptions options_;
+  BasisFactorFactory makeFactor_;
   SolveStats stats_;
 };
 

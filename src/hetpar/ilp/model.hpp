@@ -6,7 +6,6 @@
 // model to lp_solve or CPLEX.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -126,17 +125,9 @@ class Model {
   Sense sense_ = Sense::Minimize;
 };
 
-/// LP engine underneath branch and bound. `Revised` is the sparse revised
-/// simplex (LU factors + eta updates) that the parallelizer always uses;
-/// `Dense` keeps the seed's explicit dense inverse as a test-only
-/// differential oracle, selected only by tests, `bench/ablation_solver` and
-/// the fuzzer's solver-differential relation (see DESIGN.md "LP engine").
-enum class SolverEngine : std::uint8_t { Revised, Dense };
-
 /// Solver knobs. Defaults suit the parallelizer's many small ILPs.
 struct SolveOptions {
   long long maxNodes = 2'000'000;  ///< branch-and-bound node cap: the only early stop
-  SolverEngine engine = SolverEngine::Revised;
 };
 
 /// Per-solve statistics (feeds the paper's Table I).

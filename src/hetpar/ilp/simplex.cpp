@@ -33,8 +33,8 @@ struct Tableau {
   std::vector<int> basicPos;          // basicPos[j] = row if basic else -1
   std::vector<double> xB;             // values of basic variables
 
-  SolverEngine engine = SolverEngine::Revised;
-  std::unique_ptr<BasisFactor> factor;  // basis representation (LU or dense)
+  BasisFactorFactory makeFactor = makeSparseLuFactor;
+  std::unique_ptr<BasisFactor> factor;  // basis representation
   int pricingCursor = 0;                // partial-pricing scan position
 
   double tol;
@@ -117,7 +117,7 @@ void Tableau::init(const LpProblem& problem, double tolerance) {
     basicPos[static_cast<std::size_t>(aj)] = i;
     xB[static_cast<std::size_t>(i)] = std::fabs(residual[static_cast<std::size_t>(i)]);
   }
-  factor = makeBasisFactor(engine);
+  factor = makeFactor();
   factor->factorize(cols, basic, m);  // diagonal basis: cannot fail
 }
 
@@ -186,7 +186,7 @@ bool Tableau::initFromBasis(const LpProblem& problem, double tolerance,
     recomputeBasicValues();
     return true;
   }
-  factor = makeBasisFactor(engine);
+  factor = makeFactor();
   if (!refactorize()) return false;
   return true;
 }
@@ -348,24 +348,15 @@ LpStatus Tableau::runPhase(const std::vector<double>& cost, long long maxIterati
     int entering = -1;
     double enteringDir = 0.0;
     double bestScore = dualTol;
-    if (bland || engine == SolverEngine::Dense) {
-      // Bland: first improving column by index (termination guarantee needs
-      // the lowest index, so no cursor). Dense engine: full Dantzig scan,
-      // preserving the seed's pivot sequence for the differential oracle.
+    if (bland) {
+      // First improving column by index (termination guarantee needs the
+      // lowest index, so no cursor).
       for (int j = 0; j < total; ++j) {
         double dir = 0.0;
-        const double score = priceColumn(j, dir);
-        if (score <= 0.0) continue;
-        if (bland) {
-          entering = j;
-          enteringDir = dir;
-          break;
-        }
-        if (score > bestScore) {
-          bestScore = score;
-          entering = j;
-          enteringDir = dir;
-        }
+        if (priceColumn(j, dir) <= 0.0) continue;
+        entering = j;
+        enteringDir = dir;
+        break;
       }
     } else {
       // Partial pricing: cyclic scan from the cursor; once a candidate is in
@@ -659,7 +650,7 @@ LpResult BoundedSimplex::solve(const LpProblem& problem, long long maxIterations
   const std::uint64_t digest = lpStructuralDigest(problem);
 
   Tableau t;
-  t.engine = engine_;
+  t.makeFactor = makeFactor_;
   bool warmed = false;
   if (warm != nullptr && warm->valid()) {
     // Factor-cache hit requires the same matrix (structural digest) and the
@@ -684,7 +675,7 @@ LpResult BoundedSimplex::solve(const LpProblem& problem, long long maxIterations
 
   if (!warmed) {
     t = Tableau{};
-    t.engine = engine_;
+    t.makeFactor = makeFactor_;
     t.init(problem, tol_);
 
     // Phase 1: minimize the sum of artificial variables.

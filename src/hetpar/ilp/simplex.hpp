@@ -9,15 +9,14 @@
 // binary-heavy models.
 //
 // Implementation: two-phase method with one artificial variable per row.
-// The basis inverse lives behind the `BasisFactor` interface: the default
-// `SolverEngine::Revised` engine keeps a sparse LU factorization with
-// product-form eta updates and periodic refactorization (partial pricing),
-// while `SolverEngine::Dense` retains the seed's explicit dense inverse
-// (full Dantzig pricing) as a test-only differential oracle with no CLI or
-// parallelizer option. Both share this pivoting layer's ratio test, bound
-// flips, and Bland's-rule fallback, so they differ only in how B^{-1} is
-// represented — which is what makes dense-vs-revised agreement a
-// meaningful check.
+// The basis inverse lives behind the `BasisFactor` interface: production
+// solves keep a sparse LU factorization with product-form eta updates and
+// periodic refactorization, priced partially. The constructor's factory
+// argument lets tests substitute the dense reference inverse
+// (verify/dense_factor.hpp), which then shares this pivoting layer's
+// pricing, ratio test, bound flips and Bland's-rule fallback, so the two
+// differ only in how B^{-1} is represented — which is what makes their
+// agreement a meaningful check.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +77,8 @@ struct SimplexBasis {
 
 class BoundedSimplex {
  public:
-  explicit BoundedSimplex(double tol = 1e-9, SolverEngine engine = SolverEngine::Revised)
-      : tol_(tol), engine_(engine) {}
+  explicit BoundedSimplex(double tol = 1e-9, BasisFactorFactory makeFactor = makeSparseLuFactor)
+      : tol_(tol), makeFactor_(makeFactor) {}
 
   /// Solves the LP; `maxIterations <= 0` selects an automatic limit.
   /// `warm` (optional) seeds the solve from a previous basis of a problem
@@ -89,11 +88,9 @@ class BoundedSimplex {
   LpResult solve(const LpProblem& problem, long long maxIterations = 0,
                  const SimplexBasis* warm = nullptr, SimplexBasis* basisOut = nullptr);
 
-  SolverEngine engine() const { return engine_; }
-
  private:
   double tol_;
-  SolverEngine engine_;
+  BasisFactorFactory makeFactor_;
   // Retained factorization of the last optimal basis (warm-start accelerator
   // for consecutive branch-and-bound node solves). Keyed on the problem's
   // structural digest *and* the basis columns: matrices with equal row

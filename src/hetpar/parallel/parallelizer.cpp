@@ -9,10 +9,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <type_traits>
 #include <utility>
 
 #include "hetpar/parallel/region_cache.hpp"
+#include "hetpar/support/bytes.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/support/strings.hpp"
 #include "hetpar/support/thread_pool.hpp"
@@ -30,9 +32,18 @@ SolutionRef ParallelizeOutcome::bestRoot(const htg::Graph& g, ClassId mainClass)
   return SolutionRef{g.root(), idx};
 }
 
+std::string outcomeFieldBytes(const ParallelizerOptions& o) {
+  std::string out;
+  visitOutcomeFields(o, [&out](auto value) {
+    if constexpr (std::is_floating_point_v<decltype(value)>) bytes::putF64(out, value);
+    else bytes::putI64(out, static_cast<long long>(value));
+  });
+  return out;
+}
+
 Parallelizer::Parallelizer(const htg::Graph& graph, const cost::TimingModel& timing,
                            ParallelizerOptions options)
-    : graph_(graph), timing_(timing), options_(options) {}
+    : graph_(graph), timing_(timing), options_(options), keyPrefix_(outcomeFieldBytes(options_)) {}
 
 namespace {
 
@@ -41,7 +52,7 @@ namespace {
 /// without contributing solve statistics); misses solve, account, and store.
 template <class Region>
 auto solveCached(const Region& region, ilp::BranchAndBoundSolver& solver, IlpRegionCache* cache,
-                 IlpStatistics& stats, char keyTag) {
+                 const std::string& keyPrefix, IlpStatistics& stats) {
   constexpr bool kTask = std::is_same_v<Region, IlpRegion>;
   const auto solve = [&] {
     if constexpr (kTask) return solveIlpPar(region, solver);
@@ -52,10 +63,10 @@ auto solveCached(const Region& region, ilp::BranchAndBoundSolver& solver, IlpReg
   if (cache != nullptr) {
     bool hit = false;
     if constexpr (kTask) {
-      key = IlpRegionCache::taskKey(region, solver.options(), keyTag);
+      key = IlpRegionCache::taskKey(region, keyPrefix);
       hit = cache->lookupTask(key, r);
     } else {
-      key = IlpRegionCache::chunkKey(region, solver.options(), keyTag);
+      key = IlpRegionCache::chunkKey(region, keyPrefix);
       hit = cache->lookupChunk(key, r);
     }
     if (hit) {
@@ -131,8 +142,6 @@ Parallelizer::LaneOutput Parallelizer::runLane(NodeId id, SolutionKind kind, Cla
   const bool isRoot = id == graph_.root();
 
   ilp::BranchAndBoundSolver solver({.maxNodes = options_.ilpMaxNodes});
-  const char keyTag = static_cast<char>(static_cast<int>(options_.dependenceMode) +
-                                        2 * static_cast<int>(options_.flowMode));
 
   // Pruning bound: the fastest known candidate for this class. Only this
   // lane produces candidates tagged `seqPC` within its phase, so the phase
@@ -154,7 +163,7 @@ Parallelizer::LaneOutput Parallelizer::runLane(NodeId id, SolutionKind kind, Cla
           (upperBound <= 0 || greedy.timeSeconds * 1.02 < upperBound))
         upperBound = greedy.timeSeconds * 1.02;
       region.upperBoundSeconds = upperBound;
-      const IlpParResult r = solveCached(region, solver, cache, out.stats, keyTag);
+      const IlpParResult r = solveCached(region, solver, cache, keyPrefix_, out.stats);
       feasible = r.feasible;
       if (feasible) cand = decodeTaskParallel(region, r);
       if (greedy.timeSeconds > 0 && greedy.totalProcs() > 1 &&
@@ -165,7 +174,7 @@ Parallelizer::LaneOutput Parallelizer::runLane(NodeId id, SolutionKind kind, Cla
     } else {
       ChunkRegion region = buildChunkRegion(id, sets, seqPC, budget);
       region.upperBoundSeconds = upperBound;
-      const ChunkResult r = solveCached(region, solver, cache, out.stats, keyTag);
+      const ChunkResult r = solveCached(region, solver, cache, keyPrefix_, out.stats);
       feasible = r.feasible;
       if (feasible) cand = decodeChunked(r, seqPC);
     }

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hetpar/cost/timing.hpp"
@@ -68,13 +69,45 @@ struct ParallelizerOptions {
   /// the same program planned against several platform views). When null and
   /// `enableRegionCache` is set, each run uses a private cache.
   std::shared_ptr<IlpRegionCache> regionCache;
-  /// Dependence mode the HTG was built with. Folded into region-cache keys
-  /// so graphs from different modes never share memoized ILP solutions.
+  /// Dependence mode the HTG was built with. A key field (see
+  /// visitOutcomeFields), so graphs from different modes never share
+  /// memoized ILP solutions or stored plans.
   ir::DependenceMode dependenceMode = ir::DependenceMode::Conservative;
-  /// Flow mode the HTG was built with; folded into region-cache keys for the
-  /// same reason (Live prunes comm payloads, changing region economics).
+  /// Flow mode the HTG was built with; a key field for the same reason
+  /// (Live prunes comm payloads, changing region economics).
   ir::FlowMode flowMode = ir::FlowMode::Conservative;
 };
+
+/// Calls `visit(value)` for every field of `o` that can change a plan, in
+/// declaration order. These fields, and only these, make up the artifact
+/// key (pipeline::Session::outcomeKey) and the region-cache keys
+/// (outcomeFieldBytes). The binding names every field, so a field added to
+/// ParallelizerOptions without being classified here fails to compile.
+template <class Visit>
+void visitOutcomeFields(const ParallelizerOptions& o, Visit&& visit) {
+  const auto& [maxTasksPerRegion, chunkCount, minRegionTcoMultiple, ilpMaxNodes, enableChunking,
+               enableParallelSetMapping, maxCandidatesPerClass, jobs, enableRegionCache,
+               regionCache, dependenceMode, flowMode] = o;
+  // Not key fields: a plan is identical at every `jobs` and with or without
+  // the region cache (DESIGN.md §7).
+  (void)jobs;
+  (void)enableRegionCache;
+  (void)regionCache;
+  visit(maxTasksPerRegion);
+  visit(chunkCount);
+  visit(minRegionTcoMultiple);
+  visit(ilpMaxNodes);
+  visit(enableChunking);
+  visit(enableParallelSetMapping);
+  visit(maxCandidatesPerClass);
+  visit(dependenceMode);
+  visit(flowMode);
+}
+
+/// The fields visitOutcomeFields visits, as fixed-width bytes
+/// (support/bytes.hpp): the region-cache key prefix, and the options part of
+/// the artifact key.
+std::string outcomeFieldBytes(const ParallelizerOptions& o);
 
 struct ParallelizeOutcome {
   SolutionTable table;  ///< parallel set per hierarchical/leaf node
@@ -153,6 +186,7 @@ class Parallelizer {
   const htg::Graph& graph_;
   const cost::TimingModel& timing_;
   ParallelizerOptions options_;
+  std::string keyPrefix_;  ///< outcomeFieldBytes(options_): starts every region key
 };
 
 }  // namespace hetpar::parallel

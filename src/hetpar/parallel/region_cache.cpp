@@ -4,26 +4,12 @@
 
 namespace hetpar::parallel {
 
-namespace {
-
 using bytes::putF64;
 using bytes::putI64;
 
-void putOptions(std::string& key, const ilp::SolveOptions& opts) {
-  putI64(key, opts.maxNodes);
-  // Engines may break ties among alternate optima differently; memoized
-  // solutions must not leak across them.
-  putI64(key, static_cast<long long>(opts.engine));
-}
-
-}  // namespace
-
-std::string IlpRegionCache::taskKey(const IlpRegion& region, const ilp::SolveOptions& opts,
-                                    char keyTag) {
-  std::string key;
+std::string IlpRegionCache::taskKey(const IlpRegion& region, std::string_view prefix) {
+  std::string key(prefix);
   key.push_back('T');
-  key.push_back(keyTag);
-  putOptions(key, opts);
   putI64(key, region.seqPC);
   putI64(key, region.maxProcs);
   putI64(key, region.maxTasks);
@@ -53,12 +39,9 @@ std::string IlpRegionCache::taskKey(const IlpRegion& region, const ilp::SolveOpt
   return key;
 }
 
-std::string IlpRegionCache::chunkKey(const ChunkRegion& region, const ilp::SolveOptions& opts,
-                                     char keyTag) {
-  std::string key;
+std::string IlpRegionCache::chunkKey(const ChunkRegion& region, std::string_view prefix) {
+  std::string key(prefix);
   key.push_back('C');
-  key.push_back(keyTag);
-  putOptions(key, opts);
   putI64(key, region.iterations);
   putI64(key, region.seqPC);
   putI64(key, region.maxProcs);

@@ -4,12 +4,14 @@
 // branch-and-bound run and the same decoded result, so the solve can be
 // skipped. The cache key is a canonical byte-exact serialization of the
 // region (child candidate menus, edges, budgets, overheads, the pruning
-// bound) plus the solver limits; it deliberately EXCLUDES the region name,
-// child labels, and `IlpCandidate::ref` — those identify where a region came
-// from, not what its model looks like, and `buildIlpParModel` never reads
-// them. `upperBoundSeconds` IS part of the key: two solves that differ only
-// in the bound may surface different equally-optimal corners, and the cache
-// must never change an outcome, only skip work.
+// bound) after a prefix that encodes the plan-changing parallelizer options
+// (outcomeFieldBytes: the node cap, the dependence and flow modes, ...); it
+// deliberately EXCLUDES the region name, child labels, and
+// `IlpCandidate::ref` — those identify where a region came from, not what
+// its model looks like, and `buildIlpParModel` never reads them.
+// `upperBoundSeconds` IS part of the key: two solves that differ only in the
+// bound may surface different equally-optimal corners, and the cache must
+// never change an outcome, only skip work.
 //
 // Keys are compared by full byte equality (no hash-truncation risk: a
 // std::unordered_map keyed by the serialized string only uses the hash to
@@ -24,6 +26,7 @@
 #include <cstddef>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "hetpar/parallel/ilppar_model.hpp"
@@ -32,14 +35,12 @@ namespace hetpar::parallel {
 
 class IlpRegionCache {
  public:
-  /// Canonical key for a task-parallel region under the given solver limits.
-  /// `keyTag` namespaces keys by the dependence mode the HTG was built with,
-  /// so a shared cache never serves a solution across modes.
-  static std::string taskKey(const IlpRegion& region, const ilp::SolveOptions& opts,
-                             char keyTag = 0);
-  /// Canonical key for a loop-chunking region under the given solver limits.
-  static std::string chunkKey(const ChunkRegion& region, const ilp::SolveOptions& opts,
-                              char keyTag = 0);
+  /// Canonical key for a task-parallel region. `prefix` is
+  /// outcomeFieldBytes of the options the region is solved under, so a
+  /// shared cache never serves a solution across them.
+  static std::string taskKey(const IlpRegion& region, std::string_view prefix);
+  /// Canonical key for a loop-chunking region; `prefix` as for taskKey.
+  static std::string chunkKey(const ChunkRegion& region, std::string_view prefix);
 
   /// Returns true and fills `out` (with `out.stats` zeroed — a hit performed
   /// no solve) when the key is present.

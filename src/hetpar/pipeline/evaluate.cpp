@@ -14,11 +14,8 @@ platform::ClassId mainClassFor(const platform::Platform& pf, Scenario scenario) 
 BaselineRun runBaseline(Session& session, platform::ClassId mainClass) {
   const platform::Platform& pf = session.inputs().platform;
   const htg::Graph& graph = session.frontend().graph;
-  parallel::ParallelizerOptions po = session.inputs().parallelizer;
-  po.dependenceMode = session.inputs().depMode;
-  po.flowMode = session.inputs().flowMode;
   const parallel::HomogeneousRun homog =
-      parallel::runHomogeneousBaseline(graph, pf, mainClass, po);
+      parallel::runHomogeneousBaseline(graph, pf, mainClass, session.inputs().parallelizer);
   sched::FlattenOptions fo;
   fo.classAwareAllocation = false;
   const sched::FlattenResult flat =

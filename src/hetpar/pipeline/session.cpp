@@ -81,12 +81,15 @@ void fillFrontend(htg::FrontendBundle& bundle, std::string_view source, ir::Depe
 
 htg::FrontendBundle buildFrontend(std::string_view source, ir::DependenceMode mode,
                                   ir::FlowMode flow, std::vector<PassRecord>* records) {
-  htg::FrontendBundle bundle;
-  fillFrontend(bundle, source, mode, flow, records);
-  return bundle;
+  return htg::FrontendBundle(
+      [&](htg::FrontendBundle& bundle) { fillFrontend(bundle, source, mode, flow, records); });
 }
 
 Session::Session(SessionInputs inputs) : inputs_(std::move(inputs)) {
+  // The session's effective options: the plan, the baseline and the
+  // artifact key all read the modes the HTG is built with from here.
+  inputs_.parallelizer.dependenceMode = inputs_.depMode;
+  inputs_.parallelizer.flowMode = inputs_.flowMode;
   timing_ = std::make_unique<cost::TimingModel>(inputs_.platform);
 }
 
@@ -102,24 +105,15 @@ const htg::FrontendBundle& Session::frontend() {
 }
 
 std::string Session::outcomeKey() const {
-  // Everything the outcome depends on, and nothing it does not: `jobs`,
-  // the region cache and the artifact cache itself are excluded (the solve
-  // engine guarantees outcome invariance across them, see DESIGN.md §7).
+  // Everything the outcome depends on, and nothing it does not: the options
+  // enter through parallel::visitOutcomeFields, which leaves out `jobs` and
+  // the region cache (DESIGN.md §7); the artifact cache is not an option.
   Digest d;
   d.put("hetpar-parallelize-outcome");
   d.putU64(ArtifactCache::kFormatVersion);
   d.put(inputs_.source);
   d.put(platform::toText(inputs_.platform));
-  d.putI64(static_cast<long long>(inputs_.depMode));
-  d.putI64(static_cast<long long>(inputs_.flowMode));
-  const parallel::ParallelizerOptions& po = inputs_.parallelizer;
-  d.putI64(po.maxTasksPerRegion);
-  d.putI64(po.chunkCount);
-  d.putF64(po.minRegionTcoMultiple);
-  d.putI64(po.ilpMaxNodes);
-  d.putBool(po.enableChunking);
-  d.putBool(po.enableParallelSetMapping);
-  d.putI64(po.maxCandidatesPerClass);
+  d.put(parallel::outcomeFieldBytes(inputs_.parallelizer));
   return d.hex();
 }
 
@@ -149,10 +143,7 @@ const parallel::ParallelizeOutcome& Session::parallelize() {
     }
   }
 
-  parallel::ParallelizerOptions po = inputs_.parallelizer;
-  po.dependenceMode = inputs_.depMode;
-  po.flowMode = inputs_.flowMode;
-  parallel::Parallelizer tool(bundle.graph, *timing_, po);
+  parallel::Parallelizer tool(bundle.graph, *timing_, inputs_.parallelizer);
   outcome_ = std::make_unique<parallel::ParallelizeOutcome>(tool.run());
   parallelizeCached_ = false;
 

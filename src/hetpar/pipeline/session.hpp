@@ -60,9 +60,10 @@ struct SessionInputs {
   /// FlowMode::Live runs the dataflow pass and prunes comm payloads by
   /// liveness; Conservative reproduces the historical graphs bit for bit.
   ir::FlowMode flowMode = ir::FlowMode::Conservative;
-  /// Solver knobs. `dependenceMode`/`flowMode` are overwritten from
-  /// `depMode`/`flowMode`; `jobs` and the region cache do not affect
-  /// outcomes (and are excluded from the artifact key).
+  /// Solver knobs. The Session overwrites `dependenceMode`/`flowMode` with
+  /// `depMode`/`flowMode`, so `Session::inputs().parallelizer` holds the
+  /// options its plans are made with. `jobs` and the region cache do not
+  /// affect outcomes (and are excluded from the artifact key).
   parallel::ParallelizerOptions parallelizer;
   /// Optional persistent cache shared across sessions and processes.
   std::shared_ptr<ArtifactCache> artifactCache;
@@ -118,8 +119,9 @@ class Session {
   std::string emitDot();
 
   /// Content-addressed key of the parallelize artifact: digest of format
-  /// version, source, platform description, dependence mode and the
-  /// outcome-relevant parallelizer options (NOT jobs / cache wiring).
+  /// version, source, platform description and the fields of the effective
+  /// parallelizer options that parallel::visitOutcomeFields visits (the
+  /// modes included; NOT jobs / cache wiring).
   std::string outcomeKey() const;
 
   /// Per-pass records in execution order (hetparc --explain-timings).

@@ -15,6 +15,7 @@
 #include "hetpar/sim/mpsoc.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/support/strings.hpp"
+#include "hetpar/verify/dense_factor.hpp"
 #include "hetpar/verify/invariants.hpp"
 #include "hetpar/verify/oracle.hpp"
 
@@ -779,8 +780,8 @@ RelationResult checkSolverDifferential(std::uint64_t seed, const MetamorphicOpti
   tiny.maxChildren = 8;
   tiny.maxTasks = 4;
 
-  ilp::BranchAndBoundSolver dense({.engine = ilp::SolverEngine::Dense});
-  ilp::BranchAndBoundSolver revised({.engine = ilp::SolverEngine::Revised});
+  ilp::BranchAndBoundSolver dense({}, makeDenseInverseFactor);
+  ilp::BranchAndBoundSolver revised;
 
   bool dFeasible, rFeasible, dProven, rProven;
   double dSeconds, rSeconds;

@@ -30,7 +30,7 @@
 //                        summaries may conflict never overlap in simulated
 //                        time on different cores
 //   SolverDifferential   the production sparse revised simplex and the
-//                        retained dense-inverse engine agree on feasibility,
+//                        dense-inverse reference (dense_factor.hpp) agree on feasibility,
 //                        optimality and objective for the same ILPPAR
 //                        region (region-level; the two engines share only
 //                        the simplex driver, not the basis representation)

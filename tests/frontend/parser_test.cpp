@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hetpar/frontend/printer.hpp"
 #include "hetpar/support/error.hpp"
 
@@ -132,6 +134,40 @@ TEST(Parser, RejectsSyntaxErrors) {
   EXPECT_THROW(parseProgram("int main() { int = 3; }"), ParseError);       // missing name
   EXPECT_THROW(parseProgram("int main() { if x > 2 x = 1; }"), ParseError);  // missing (
   EXPECT_THROW(parseProgram("int main() { foo(; }"), ParseError);
+}
+
+// Programs nested exactly `depth` levels deep: `return` and its expression
+// take two; each parenthesis, block or chained operator one more.
+std::string nestedParens(int depth) {
+  const auto n = static_cast<std::size_t>(depth - 2);
+  return "int main() { return " + std::string(n, '(') + "1" + std::string(n, ')') + "; }";
+}
+std::string nestedBlocks(int depth) {
+  const auto n = static_cast<std::size_t>(depth - 2);
+  return "int main() { " + std::string(n, '{') + " return 0; " + std::string(n, '}') + " }";
+}
+std::string operatorChain(int depth) {
+  std::string src = "int main() { return 1";
+  for (int i = 2; i < depth; ++i) src += " + 1";
+  return src + "; }";
+}
+
+TEST(Parser, AcceptsNestingAtTheLimit) {
+  for (const auto make : {nestedParens, nestedBlocks, operatorChain})
+    EXPECT_NO_THROW(parseProgram(make(kMaxNestingDepth))) << make(kMaxNestingDepth);
+}
+
+TEST(Parser, RejectsNestingPastTheLimitWithALocatedError) {
+  for (const auto make : {nestedParens, nestedBlocks, operatorChain}) {
+    try {
+      parseProgram(make(kMaxNestingDepth + 1));
+      ADD_FAILURE() << "accepted " << make(kMaxNestingDepth + 1);
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("parse error at line 1 column "), std::string::npos) << what;
+      EXPECT_NE(what.find("nesting deeper than 256 levels"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Parser, CloneExprDeepCopies) {

@@ -6,23 +6,24 @@
 #include <string>
 
 #include "hetpar/support/strings.hpp"
+#include "hetpar/verify/dense_factor.hpp"
 
 namespace hetpar::ilp {
 namespace {
 
 // Convenience: solve a Model's LP relaxation via buildLp + BoundedSimplex.
-LpResult relaxWith(const Model& m, SolverEngine engine) {
+LpResult relaxWith(const Model& m, BasisFactorFactory makeFactor) {
   std::vector<double> lb, ub;
   for (const auto& v : m.vars()) {
     lb.push_back(v.lowerBound);
     ub.push_back(v.upperBound);
   }
   StandardForm sf = buildLp(m, lb, ub);
-  BoundedSimplex simplex(1e-9, engine);
+  BoundedSimplex simplex(1e-9, makeFactor);
   return simplex.solve(sf.problem);
 }
 
-LpResult relax(const Model& m) { return relaxWith(m, SolverEngine::Revised); }
+LpResult relax(const Model& m) { return relaxWith(m, makeSparseLuFactor); }
 
 TEST(Simplex, TextbookTwoVarMaximize) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0 -> 36 at (2,6)
@@ -293,13 +294,12 @@ Model degenerateAssignment() {
 
 void expectBothEnginesReach(const AdversarialCase& c) {
   const Model m = c.build();
-  for (SolverEngine engine : {SolverEngine::Revised, SolverEngine::Dense}) {
-    const LpResult r = relaxWith(m, engine);
-    ASSERT_EQ(r.status, LpStatus::Optimal)
-        << c.name << (engine == SolverEngine::Dense ? " (dense)" : " (revised)");
+  for (const bool dense : {false, true}) {
+    const LpResult r = relaxWith(m, dense ? verify::makeDenseInverseFactor : makeSparseLuFactor);
+    ASSERT_EQ(r.status, LpStatus::Optimal) << c.name << (dense ? " (dense)" : " (revised)");
     EXPECT_NEAR(r.objective, c.expectedObjective, c.tol)
-        << c.name << (engine == SolverEngine::Dense ? " (dense)" : " (revised)");
-    if (engine == SolverEngine::Revised) {
+        << c.name << (dense ? " (dense)" : " (revised)");
+    if (!dense) {
       // Every cold revised solve factorizes at least once and reports it.
       EXPECT_GE(r.factorStats.refactorizations, 1) << c.name;
     }
@@ -361,7 +361,7 @@ TEST(SimplexAdversarial, EtaCapTriggersRefactorization) {
   for (auto v : xs) sum += LinearExpr(v);
   for (int i = 0; i < 80; ++i) m.addLe(LinearExpr(xs[i]) + LinearExpr(xs[i + 1]), 2.0);
   m.setObjective(sum, Sense::Maximize);
-  const LpResult r = relaxWith(m, SolverEngine::Revised);
+  const LpResult r = relax(m);
   ASSERT_EQ(r.status, LpStatus::Optimal);
   EXPECT_NEAR(-r.objective, 82.0, 1e-5);
   EXPECT_GE(r.iterations, 81);

@@ -1,10 +1,11 @@
-// Differential test between the two LP engines behind BoundedSimplex: the
-// production sparse revised simplex (LU factors + product-form etas) and the
-// retained dense explicit inverse. The engines share the simplex driver but
-// nothing about the basis representation, so agreement on hundreds of random
-// bounded-variable LPs — plus the real ILPPAR models from the verify
-// generators, plus warm-started resolves along a simulated branch-and-bound
-// bound-tightening path — is strong evidence neither factorization is wrong.
+// Differential test between two basis representations behind BoundedSimplex:
+// the production sparse revised simplex (LU factors + product-form etas) and
+// the dense explicit-inverse reference (verify/dense_factor.hpp). The engines
+// share the simplex driver but nothing about the basis representation, so
+// agreement on hundreds of random bounded-variable LPs — plus the real ILPPAR
+// models from the verify generators, plus warm-started resolves along a
+// simulated branch-and-bound bound-tightening path — is strong evidence
+// neither factorization is wrong.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "hetpar/ilp/simplex.hpp"
 #include "hetpar/parallel/ilppar_model.hpp"
 #include "hetpar/support/rng.hpp"
+#include "hetpar/verify/dense_factor.hpp"
 #include "hetpar/verify/oracle.hpp"
 
 namespace hetpar::ilp {
@@ -72,8 +74,8 @@ TEST_P(SolverDifferentialSweep, RandomLpsAgree) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x9e3779b97f4a7c15ULL + 3);
   for (int k = 0; k < 5; ++k) {
     const LpProblem lp = randomLp(rng);
-    BoundedSimplex dense(1e-9, SolverEngine::Dense);
-    BoundedSimplex revised(1e-9, SolverEngine::Revised);
+    BoundedSimplex dense(1e-9, verify::makeDenseInverseFactor);
+    BoundedSimplex revised;
     const LpResult d = dense.solve(lp);
     const LpResult r = revised.solve(lp);
     if (d.status == LpStatus::IterationLimit || r.status == LpStatus::IterationLimit)
@@ -98,8 +100,8 @@ TEST_P(SolverDifferentialSweep, WarmResolvePathAgrees) {
           lp.lower[static_cast<std::size_t>(j)] + double(rng.range(1, 8));
   }
 
-  BoundedSimplex dense(1e-9, SolverEngine::Dense);
-  BoundedSimplex revised(1e-9, SolverEngine::Revised);
+  BoundedSimplex dense(1e-9, verify::makeDenseInverseFactor);
+  BoundedSimplex revised;
   SimplexBasis denseBasis, revisedBasis;
   const LpResult d0 = dense.solve(lp, 0, nullptr, &denseBasis);
   const LpResult r0 = revised.solve(lp, 0, nullptr, &revisedBasis);
@@ -136,8 +138,8 @@ TEST_P(SolverDifferentialSweep, IlpParModelsAgree) {
   tiny.maxChildren = 8;
   tiny.maxTasks = 4;
 
-  BranchAndBoundSolver dense({.engine = SolverEngine::Dense});
-  BranchAndBoundSolver revised({.engine = SolverEngine::Revised});
+  BranchAndBoundSolver dense({}, verify::makeDenseInverseFactor);
+  BranchAndBoundSolver revised;
 
   if (GetParam() % 2 == 0) {
     const parallel::IlpRegion region = verify::randomTinyRegion(rng, tiny);
@@ -189,8 +191,8 @@ TEST(SolverCacheHazard, EqualRowCountProblemsDoNotShareFactors) {
 
   ASSERT_NE(lpStructuralDigest(a), lpStructuralDigest(b));
 
-  for (SolverEngine engine : {SolverEngine::Revised, SolverEngine::Dense}) {
-    BoundedSimplex solver(1e-9, engine);
+  for (BasisFactorFactory makeFactor : {makeSparseLuFactor, verify::makeDenseInverseFactor}) {
+    BoundedSimplex solver(1e-9, makeFactor);
     SimplexBasis basisA;
     const LpResult firstA = solver.solve(a, 0, nullptr, &basisA);
     ASSERT_EQ(firstA.status, LpStatus::Optimal);

@@ -30,16 +30,17 @@ TEST_P(RandomProgramSweep, PipelineHolds) {
   EXPECT_EQ(frontend::printProgram(p2), printed1) << "seed " << GetParam();
 
   // Full pipeline: sema + interpreter + HTG.
-  htg::FrontendBundle bundle;
-  ASSERT_NO_THROW(bundle = pipeline::buildFrontend(src)) << "seed " << GetParam() << "\n" << src;
-  const auto problems = htg::validate(bundle.graph);
-  EXPECT_TRUE(problems.empty()) << "seed " << GetParam() << ": " << problems.front();
-  EXPECT_NE(bundle.profile.exitValue, 0) << "seed " << GetParam();
+  ASSERT_NO_THROW({
+    const htg::FrontendBundle bundle = pipeline::buildFrontend(src);
+    const auto problems = htg::validate(bundle.graph);
+    EXPECT_TRUE(problems.empty()) << "seed " << GetParam() << ": " << problems.front();
+    EXPECT_NE(bundle.profile.exitValue, 0) << "seed " << GetParam();
 
-  // Determinism: a second run agrees.
-  htg::FrontendBundle again = pipeline::buildFrontend(src);
-  EXPECT_EQ(again.profile.exitValue, bundle.profile.exitValue);
-  EXPECT_DOUBLE_EQ(again.profile.totalOps, bundle.profile.totalOps);
+    // Determinism: a second run agrees.
+    const htg::FrontendBundle again = pipeline::buildFrontend(src);
+    EXPECT_EQ(again.profile.exitValue, bundle.profile.exitValue);
+    EXPECT_DOUBLE_EQ(again.profile.totalOps, bundle.profile.totalOps);
+  }) << "seed " << GetParam() << "\n" << src;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramSweep, ::testing::Range(0, 50));

@@ -11,6 +11,8 @@ namespace hetpar::parallel {
 namespace {
 
 struct Run {
+  explicit Run(const char* src) : bundle(pipeline::buildFrontend(src)) {}
+
   htg::FrontendBundle bundle;
   platform::Platform pf;
   std::unique_ptr<cost::TimingModel> timing;
@@ -19,8 +21,7 @@ struct Run {
 
 std::unique_ptr<Run> runOn(const char* src, platform::Platform pf,
                            ParallelizerOptions opts = {}) {
-  auto r = std::make_unique<Run>();
-  r->bundle = pipeline::buildFrontend(src);
+  auto r = std::make_unique<Run>(src);
   r->pf = std::move(pf);
   r->timing = std::make_unique<cost::TimingModel>(r->pf);
   Parallelizer par(r->bundle.graph, *r->timing, opts);

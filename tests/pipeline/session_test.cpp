@@ -13,7 +13,9 @@
 #include "hetpar/htg/dot.hpp"
 #include "hetpar/parallel/region_cache.hpp"
 #include "hetpar/platform/presets.hpp"
+#include "hetpar/support/rng.hpp"
 #include "hetpar/verify/metamorphic.hpp"
+#include "hetpar/verify/oracle.hpp"
 
 namespace hetpar::pipeline {
 namespace {
@@ -92,58 +94,84 @@ TEST(Session, OutcomeMatchesDirectParallelizerRun) {
   EXPECT_TRUE(verify::diffSolutionTables(viaSession.table, direct.table).empty());
 }
 
+// The artifact key and both region-cache keys see exactly the options that
+// parallel::visitOutcomeFields visits. Every ParallelizerOptions field is
+// flipped once, the way a caller sets it: the modes through SessionInputs,
+// which the session copies into its effective options.
 TEST(Session, OutcomeKeyIsStableAndDiscriminating) {
-  const std::string base = Session(inputs()).outcomeKey();
-  EXPECT_EQ(base.size(), 32u);
-  EXPECT_EQ(Session(inputs()).outcomeKey(), base);
+  Rng rng(4);
+  const parallel::IlpRegion task = verify::randomTinyRegion(rng);
+  const parallel::ChunkRegion chunk = verify::randomTinyChunkRegion(rng);
+  struct Keys {
+    std::string outcome, task, chunk;
+  };
+  const auto keysOf = [&](SessionInputs in) {
+    const Session session(std::move(in));
+    const std::string prefix = parallel::outcomeFieldBytes(session.inputs().parallelizer);
+    return Keys{session.outcomeKey(), parallel::IlpRegionCache::taskKey(task, prefix),
+                parallel::IlpRegionCache::chunkKey(chunk, prefix)};
+  };
+  const Keys base = keysOf(inputs());
+  EXPECT_EQ(base.outcome.size(), 32u);
+  EXPECT_EQ(Session(inputs()).outcomeKey(), base.outcome);
 
   SessionInputs other = inputs();
   other.source += " ";
-  EXPECT_NE(Session(std::move(other)).outcomeKey(), base);
+  EXPECT_NE(Session(std::move(other)).outcomeKey(), base.outcome);
 
   other = inputs();
   other.platform = platform::platformB();
-  EXPECT_NE(Session(std::move(other)).outcomeKey(), base);
+  EXPECT_NE(Session(std::move(other)).outcomeKey(), base.outcome);
 
   other = inputs();
   other.depMode = ir::DependenceMode::Affine;
-  EXPECT_NE(Session(std::move(other)).outcomeKey(), base);
+  EXPECT_NE(Session(std::move(other)).outcomeKey(), base.outcome);
 
-  // Every outcome field of ParallelizerOptions, flipped one at a time, must
-  // change the key. A new field goes on this list or on the exclusion list
-  // below, with its reason.
-  using Options = parallel::ParallelizerOptions;
-  using Flip = void (*)(Options&);
-  const std::pair<const char*, Flip> keyed[] = {
-      {"maxTasksPerRegion", [](Options& po) { po.maxTasksPerRegion = 3; }},
-      {"chunkCount", [](Options& po) { po.chunkCount = 8; }},
-      {"minRegionTcoMultiple", [](Options& po) { po.minRegionTcoMultiple = 2.0; }},
-      {"ilpMaxNodes", [](Options& po) { po.ilpMaxNodes = 1000; }},
-      {"enableChunking", [](Options& po) { po.enableChunking = false; }},
-      {"enableParallelSetMapping", [](Options& po) { po.enableParallelSetMapping = false; }},
-      {"maxCandidatesPerClass", [](Options& po) { po.maxCandidatesPerClass = 2; }},
+  using Flip = void (*)(SessionInputs&);
+  struct Case {
+    const char* field;
+    Flip flip;
+    bool keyed;
   };
-  for (const auto& [field, flip] : keyed) {
-    other = inputs();
-    flip(other.parallelizer);
-    EXPECT_NE(Session(std::move(other)).outcomeKey(), base) << field;
-  }
-
-  const std::pair<const char*, Flip> unkeyed[] = {
-      // The solve engine's outcome is invariant across jobs and cache wiring
-      // (DESIGN.md §7): same artifact, same key.
-      {"jobs", [](Options& po) { po.jobs = 8; }},
-      {"enableRegionCache", [](Options& po) { po.enableRegionCache = false; }},
+  const Case cases[] = {
+      {"maxTasksPerRegion", [](SessionInputs& in) { in.parallelizer.maxTasksPerRegion = 3; },
+       true},
+      {"chunkCount", [](SessionInputs& in) { in.parallelizer.chunkCount = 8; }, true},
+      {"minRegionTcoMultiple",
+       [](SessionInputs& in) { in.parallelizer.minRegionTcoMultiple = 2.0; }, true},
+      {"ilpMaxNodes", [](SessionInputs& in) { in.parallelizer.ilpMaxNodes = 1000; }, true},
+      {"enableChunking", [](SessionInputs& in) { in.parallelizer.enableChunking = false; },
+       true},
+      {"enableParallelSetMapping",
+       [](SessionInputs& in) { in.parallelizer.enableParallelSetMapping = false; }, true},
+      {"maxCandidatesPerClass",
+       [](SessionInputs& in) { in.parallelizer.maxCandidatesPerClass = 2; }, true},
+      // A plan is identical at every `jobs`, with or without the region
+      // cache (DESIGN.md §7): same artifact, same keys.
+      {"jobs", [](SessionInputs& in) { in.parallelizer.jobs = 8; }, false},
+      {"enableRegionCache",
+       [](SessionInputs& in) { in.parallelizer.enableRegionCache = false; }, false},
       {"regionCache",
-       [](Options& po) { po.regionCache = std::make_shared<parallel::IlpRegionCache>(); }},
-      // Session overwrites both from SessionInputs, which the key covers.
-      {"dependenceMode", [](Options& po) { po.dependenceMode = ir::DependenceMode::Affine; }},
-      {"flowMode", [](Options& po) { po.flowMode = ir::FlowMode::Live; }},
+       [](SessionInputs& in) {
+         in.parallelizer.regionCache = std::make_shared<parallel::IlpRegionCache>();
+       },
+       false},
+      {"dependenceMode", [](SessionInputs& in) { in.depMode = ir::DependenceMode::Affine; },
+       true},
+      {"flowMode", [](SessionInputs& in) { in.flowMode = ir::FlowMode::Live; }, true},
   };
-  for (const auto& [field, flip] : unkeyed) {
-    other = inputs();
-    flip(other.parallelizer);
-    EXPECT_EQ(Session(std::move(other)).outcomeKey(), base) << field;
+  // One case per field: this binding stops compiling when a field is added.
+  [[maybe_unused]] const auto& [maxTasksPerRegion, chunkCount, minRegionTcoMultiple,
+                                ilpMaxNodes, enableChunking, enableParallelSetMapping,
+                                maxCandidatesPerClass, jobs, enableRegionCache, regionCache,
+                                dependenceMode, flowMode] = parallel::ParallelizerOptions{};
+  for (const auto& [field, flip, keyed] : cases) {
+    SessionInputs in = inputs();
+    flip(in);
+    const Keys k = keysOf(std::move(in));
+    EXPECT_EQ(k.outcome != base.outcome, keyed) << field;
+    EXPECT_EQ(k.task != base.task, keyed) << field;
+    EXPECT_EQ(k.chunk != base.chunk, keyed) << field;
   }
 }
 

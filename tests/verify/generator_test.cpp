@@ -41,11 +41,11 @@ TEST(GeneratorTest, EveryChunkSubsetIsValid) {
     for (std::size_t i = 0; i < p.statements.size(); ++i)
       if (i != drop) subset.push_back(p.statements[i]);
     const verify::GeneratedProgram reduced = p.withStatements(subset);
-    htg::FrontendBundle bundle;
-    ASSERT_NO_THROW(bundle = pipeline::buildFrontend(reduced.render()))
-        << "dropping chunk " << drop << ":\n"
-        << reduced.render();
-    EXPECT_TRUE(htg::validate(bundle.graph).empty());
+    ASSERT_NO_THROW({
+      const htg::FrontendBundle bundle = pipeline::buildFrontend(reduced.render());
+      EXPECT_TRUE(htg::validate(bundle.graph).empty());
+    }) << "dropping chunk " << drop << ":\n"
+       << reduced.render();
   }
   // The empty subset (prologue + epilogue only) is valid too.
   const verify::GeneratedProgram empty = p.withStatements({});

@@ -439,8 +439,6 @@ int runBatchMode(const Options& opts) {
                                             : ir::DependenceMode::Conservative;
   config.flowMode = opts.flowMode == "live" ? ir::FlowMode::Live
                                             : ir::FlowMode::Conservative;
-  config.parallelizer.dependenceMode = config.depMode;
-  config.parallelizer.flowMode = config.flowMode;
   config.simulate = opts.simulate;
   config.workers = opts.jobs;
   config.artifactCache = openCache(opts);
