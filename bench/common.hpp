@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "hetpar/pipeline/evaluate.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/support/strings.hpp"
+#include "hetpar/support/thread_pool.hpp"
 
 namespace hetpar::bench {
 
@@ -46,18 +48,18 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     } else if (arg.rfind("--jobs=", 0) == 0) {
       jobsText = arg.substr(7);
     } else if (arg == "--jobs") {
-      if (i + 1 >= argc) fail("--jobs expects a non-negative integer");
+      if (i + 1 >= argc) fail("--jobs expects an integer");
       jobsText = argv[++i];
     } else {
       fail("unknown argument '" + arg + "'");
     }
   }
   if (!jobsText.empty()) {
-    char* end = nullptr;
-    const long jobs = std::strtol(jobsText.c_str(), &end, 10);
-    if (end == jobsText.c_str() || *end != '\0' || jobs < 0)
-      fail("--jobs expects a non-negative integer, got '" + jobsText + "'");
-    args.jobs = static_cast<int>(jobs);
+    const std::optional<int> jobs = support::ThreadPool::parseJobs(jobsText);
+    if (!jobs)
+      fail(strings::format("--jobs expects an integer from 0 to %d, got '%s'",
+                           support::ThreadPool::kMaxJobs, jobsText.c_str()));
+    args.jobs = *jobs;
   }
   if (filter.empty()) {
     args.benchmarks = benchsuite::suite();

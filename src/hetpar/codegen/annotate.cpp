@@ -91,7 +91,14 @@ std::string annotateSource(const frontend::Program& program, const htg::Graph& g
   std::string header =
       "// Parallelized by hetpar for platform " + pf.summary() + "\n" +
       "// (heterogeneous OpenMP-extension annotations; see DESIGN.md)\n\n";
-  return header + frontend::printProgram(program, &hooks);
+  // One allocation at the exact size: `header + printProgram(...)` would
+  // insert the header in front of the printed text, and that reallocation
+  // doubles the buffer, so every caller keeping the text held ~2x its size.
+  const std::string body = frontend::printProgram(program, &hooks);
+  std::string text;
+  text.reserve(header.size() + body.size());
+  text.append(header).append(body);
+  return text;
 }
 
 }  // namespace hetpar::codegen

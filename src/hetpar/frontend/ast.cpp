@@ -2,6 +2,7 @@
 
 #include <array>
 #include <sstream>
+#include <utility>
 
 #include "hetpar/support/error.hpp"
 
@@ -35,12 +36,19 @@ std::string Type::str() const {
   return os.str();
 }
 
-bool isBuiltinFunction(const std::string& name) {
-  static const std::array<const char*, 7> kBuiltins = {"sqrt", "fabs", "sin", "cos",
-                                                       "exp",  "log",  "abs"};
-  for (const char* b : kBuiltins)
-    if (name == b) return true;
-  return false;
+Builtin builtinFunction(const std::string& name) {
+  static const std::array<std::pair<const char*, Builtin>, 7> kBuiltins = {{
+      {"sqrt", Builtin::Sqrt},
+      {"fabs", Builtin::Fabs},
+      {"sin", Builtin::Sin},
+      {"cos", Builtin::Cos},
+      {"exp", Builtin::Exp},
+      {"log", Builtin::Log},
+      {"abs", Builtin::Abs},
+  }};
+  for (const auto& [text, builtin] : kBuiltins)
+    if (name == text) return builtin;
+  return Builtin::None;
 }
 
 Function* Program::findFunction(const std::string& name) const {

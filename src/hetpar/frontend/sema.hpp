@@ -3,7 +3,9 @@
 // Resolves names, checks light type/shape rules, rejects recursion (the HTG
 // inlines call costs, so the call graph must be a DAG), and assigns every
 // statement a unique id (the parallelizer, cost model, and codegen all key
-// on statement ids).
+// on statement ids). Finally it binds every name to its slot and every call
+// to its callee on the AST (frontend::Binding), which is all the profiling
+// interpreter needs to run on flat frames.
 #pragma once
 
 #include <map>
@@ -29,6 +31,7 @@ using SymbolTable = std::map<std::string, Type>;
 
 struct SemaResult {
   int numStatements = 0;  ///< ids are 0..numStatements-1, assigned pre-order
+  int numCallSites = 0;   ///< calls to user functions, numbered by CallExpr::site
   SymbolTable globals;
   std::map<const Function*, SymbolTable> functionScopes;
   /// Functions in reverse-topological call order (callees before callers);
@@ -39,8 +42,8 @@ struct SemaResult {
   const Type* lookup(const Function* fn, const std::string& name) const;
 };
 
-/// Analyzes `program` in place (assigns statement ids). Throws
-/// hetpar::SemaError on any violation.
+/// Analyzes `program` in place (renames locals, assigns statement ids,
+/// binds names and calls). Throws hetpar::SemaError on any violation.
 SemaResult analyze(Program& program);
 
 }  // namespace hetpar::frontend

@@ -1,5 +1,7 @@
 #include "hetpar/support/thread_pool.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <exception>
 
@@ -49,9 +51,17 @@ void ThreadPool::workerLoop() {
 }
 
 int ThreadPool::resolveJobs(int requested) {
-  if (requested >= 1) return requested;
+  if (requested >= 1) return std::min(requested, kMaxJobs);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+std::optional<int> ThreadPool::parseJobs(std::string_view text) {
+  int jobs = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, jobs);
+  if (error != std::errc() || stop != end || jobs < 0 || jobs > kMaxJobs) return std::nullopt;
+  return jobs;
 }
 
 }  // namespace hetpar::support

@@ -8,10 +8,12 @@
 // neither factorization is wrong.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "hetpar/ilp/branch_and_bound.hpp"
 #include "hetpar/ilp/simplex.hpp"
@@ -91,22 +93,29 @@ TEST_P(SolverDifferentialSweep, RandomLpsAgree) {
 TEST_P(SolverDifferentialSweep, WarmResolvePathAgrees) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761ULL + 41);
   LpProblem lp = randomLp(rng);
-  // Finite bounds everywhere so tightening always makes sense.
+  // Finite bounds everywhere, so the root is bounded and tightening always
+  // makes sense. Then feasible by construction: pick an integer point inside
+  // the bounds and give each row the rhs that point satisfies.
+  std::vector<double> point;
   for (int j = 0; j < lp.numCols; ++j) {
-    if (!std::isfinite(lp.lower[static_cast<std::size_t>(j)]))
-      lp.lower[static_cast<std::size_t>(j)] = -double(rng.range(1, 6));
-    if (!std::isfinite(lp.upper[static_cast<std::size_t>(j)]))
-      lp.upper[static_cast<std::size_t>(j)] =
-          lp.lower[static_cast<std::size_t>(j)] + double(rng.range(1, 8));
+    const auto c = static_cast<std::size_t>(j);
+    if (!std::isfinite(lp.lower[c])) lp.lower[c] = -double(rng.range(1, 6));
+    if (!std::isfinite(lp.upper[c])) lp.upper[c] = lp.lower[c] + double(rng.range(1, 8));
+    point.push_back(lp.lower[c] +
+                    double(rng.range(0, static_cast<std::int64_t>(lp.upper[c] - lp.lower[c]))));
   }
+  std::fill(lp.rhs.begin(), lp.rhs.end(), 0.0);
+  for (int j = 0; j < lp.numCols; ++j)
+    for (const auto& [row, coef] : lp.cols[static_cast<std::size_t>(j)])
+      lp.rhs[static_cast<std::size_t>(row)] += coef * point[static_cast<std::size_t>(j)];
 
   BoundedSimplex dense(1e-9, verify::makeDenseInverseFactor);
   BoundedSimplex revised;
   SimplexBasis denseBasis, revisedBasis;
   const LpResult d0 = dense.solve(lp, 0, nullptr, &denseBasis);
   const LpResult r0 = revised.solve(lp, 0, nullptr, &revisedBasis);
-  ASSERT_EQ(d0.status, r0.status);
-  if (d0.status != LpStatus::Optimal) GTEST_SKIP() << "root not optimal";
+  ASSERT_EQ(d0.status, LpStatus::Optimal);
+  ASSERT_EQ(r0.status, LpStatus::Optimal);
   expectAgreement(d0, r0, "root");
 
   for (int depth = 0; depth < 6; ++depth) {

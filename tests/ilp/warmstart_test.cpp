@@ -3,6 +3,9 @@
 // models and perturbations (the branch-and-bound usage pattern).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "hetpar/ilp/simplex.hpp"
 #include "hetpar/support/rng.hpp"
 #include "hetpar/support/strings.hpp"
@@ -10,17 +13,28 @@
 namespace hetpar::ilp {
 namespace {
 
+/// Bounded (every variable in [0, u]) and feasible by construction: each
+/// row's rhs is set so that a random point inside the bounds satisfies it.
 Model randomModel(Rng& rng, int nv, int nc) {
   Model m("warm");
   std::vector<Var> xs;
-  for (int i = 0; i < nv; ++i)
-    xs.push_back(m.addContinuous(0, double(rng.range(1, 10)), strings::format("x%d", i)));
+  std::vector<double> point;
+  for (int i = 0; i < nv; ++i) {
+    const std::int64_t ub = rng.range(1, 10);
+    xs.push_back(m.addContinuous(0, double(ub), strings::format("x%d", i)));
+    point.push_back(double(rng.range(0, ub)));
+  }
   for (int c = 0; c < nc; ++c) {
     LinearExpr lhs;
-    for (int i = 0; i < nv; ++i)
-      if (rng.chance(0.5)) lhs += LinearExpr::term(double(rng.range(1, 4)), xs[size_t(i)]);
-    if (rng.chance(0.5)) m.addLe(lhs, double(rng.range(2, 3 * nv)));
-    else m.addGe(lhs, double(rng.range(0, nv)));
+    double atPoint = 0.0;
+    for (int i = 0; i < nv; ++i) {
+      if (!rng.chance(0.5)) continue;
+      const double coef = double(rng.range(1, 4));
+      lhs += LinearExpr::term(coef, xs[size_t(i)]);
+      atPoint += coef * point[size_t(i)];
+    }
+    if (rng.chance(0.5)) m.addLe(lhs, atPoint + double(rng.range(0, nv)));
+    else m.addGe(lhs, atPoint - double(rng.range(0, nv)));
   }
   LinearExpr obj;
   for (int i = 0; i < nv; ++i)
@@ -46,7 +60,7 @@ TEST_P(WarmStartSweep, WarmEqualsCold) {
   BoundedSimplex solver;
   SimplexBasis basis;
   LpResult first = solver.solve(sf.problem, 0, nullptr, &basis);
-  if (first.status != LpStatus::Optimal) GTEST_SKIP() << "base problem not optimal";
+  ASSERT_EQ(first.status, LpStatus::Optimal) << "seed " << GetParam();
   ASSERT_TRUE(basis.valid());
 
   // Branch-and-bound-style perturbations: tighten one structural bound.

@@ -76,6 +76,20 @@ TEST(ThreadPool, ResolveJobsPassesPositiveThrough) {
   EXPECT_EQ(ThreadPool::resolveJobs(7), 7);
 }
 
+TEST(ThreadPool, ResolveJobsCapsLargeRequests) {
+  EXPECT_EQ(ThreadPool::resolveJobs(ThreadPool::kMaxJobs), ThreadPool::kMaxJobs);
+  EXPECT_EQ(ThreadPool::resolveJobs(100000), ThreadPool::kMaxJobs);
+}
+
+TEST(ThreadPool, ParseJobsAcceptsOnlyIntegersUpToTheCap) {
+  EXPECT_EQ(ThreadPool::parseJobs("0"), 0);
+  EXPECT_EQ(ThreadPool::parseJobs("4"), 4);
+  EXPECT_EQ(ThreadPool::parseJobs("1024"), ThreadPool::kMaxJobs);
+  for (const char* bad : {"", "x", "4x", " 4", "+4", "-1", "1.5", "1025", "100000",
+                          "2147483648", "99999999999"})
+    EXPECT_EQ(ThreadPool::parseJobs(bad), std::nullopt) << "'" << bad << "'";
+}
+
 TEST(ThreadPool, ResolveJobsMapsZeroToHardware) {
   EXPECT_GE(ThreadPool::resolveJobs(0), 1);
   EXPECT_GE(ThreadPool::resolveJobs(-1), 1);

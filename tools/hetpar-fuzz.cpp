@@ -16,7 +16,8 @@
 //                         writes treated as kills); the liveness-soundness
 //                         relation must then fail fast (falsifiability check)
 //
-// Exit codes: 0 all cases passed, 1 usage error, 2 at least one failure.
+// Exit codes: 0 all cases passed, 1 usage error, 2 at least one failure or
+// an error in the harness itself (a `hetpar-fuzz: error:` line).
 //
 // The JSON report (stdout, and the --report file) holds `baseSeed`, the
 // `cases` / `failures` / `skipped` counts, `wallSeconds`, and one `results`
@@ -32,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -176,9 +178,7 @@ std::string dumpSeedRegression(const Options& opts, verify::Relation relation,
   return path;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -307,4 +307,17 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "%d cases, %d failures, %d skipped in %.1fs\n", ran, failures,
                skips, elapsed());
   return failures == 0 ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    // A relation failure is reported and counted inside run(); reaching
+    // here means the harness itself broke, which is an error exit too.
+    std::fprintf(stderr, "hetpar-fuzz: error: %s\n", e.what());
+    return 2;
+  }
 }

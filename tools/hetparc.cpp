@@ -33,7 +33,8 @@
 //   --seq-only              stop after HTG extraction (no ILPs)
 //   --jobs <n>              solver threads; in batch mode, concurrent
 //                           programs (0 = all hardware threads; default 1;
-//                           the outcome is identical for any n)
+//                           at most 1024; the outcome is identical for
+//                           any n)
 //   --batch <dir>           compile every *.c file under <dir> (sorted)
 //   --programs <f>...       compile the listed files (all later positional
 //                           arguments are inputs)
@@ -42,14 +43,16 @@
 //   --explain-timings       print per-pass wall times, artifact sizes and
 //                           cache counters (to stderr)
 //
-// Exit codes: 0 success, 1 usage error, 2 input error.
+// Exit codes: 0 success, 1 usage error, 2 input error (or any other error;
+// each exit 2 prints a `hetparc: error:` line).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,6 +65,7 @@
 #include "hetpar/platform/presets.hpp"
 #include "hetpar/support/error.hpp"
 #include "hetpar/support/strings.hpp"
+#include "hetpar/support/thread_pool.hpp"
 
 namespace {
 
@@ -172,12 +176,13 @@ bool parseArgs(int argc, char** argv, Options& opts) {
       opts.cacheDir = value;
     } else if (arg == "--jobs") {
       if ((value = needValue(i)) == nullptr) return false;
-      char* end = nullptr;
-      opts.jobs = static_cast<int>(std::strtol(value, &end, 10));
-      if (end == value || *end != '\0' || opts.jobs < 0) {
-        std::fprintf(stderr, "hetparc: --jobs expects a non-negative integer\n");
+      const std::optional<int> jobs = hetpar::support::ThreadPool::parseJobs(value);
+      if (!jobs) {
+        std::fprintf(stderr, "hetparc: --jobs expects an integer from 0 to %d, got '%s'\n",
+                     hetpar::support::ThreadPool::kMaxJobs, value);
         return false;
       }
+      opts.jobs = *jobs;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "hetparc: unknown option '%s'\n", arg.c_str());
       return false;
@@ -498,7 +503,9 @@ int main(int argc, char** argv) {
   try {
     if (!opts.batchDir.empty() || opts.programsMode) return runBatchMode(opts);
     return runSingle(opts);
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // hetpar::Error for bad input; anything else (bad_alloc, a library
+    // exception) is still an error exit, never an abort.
     std::fprintf(stderr, "hetparc: error: %s\n", e.what());
     return 2;
   }
