@@ -42,8 +42,11 @@ class BasisFactor {
  public:
   virtual ~BasisFactor() = default;
 
-  /// Deep copy (used by BoundedSimplex's warm-start factor cache).
-  virtual std::unique_ptr<BasisFactor> clone() const = 0;
+  /// Makes this a copy of `other`'s factorization (eta file included; stats
+  /// and working buffers are not copied). `other` comes from the same
+  /// factory. Reuses this object's buffers, so BoundedSimplex's warm-start
+  /// factor cache restores its retained factor without allocating.
+  virtual void assign(const BasisFactor& other) = 0;
 
   /// Rebuilds the representation for the basis whose slot-i column is
   /// cols[basic[i]]. Returns false on a (numerically) singular basis, in
@@ -79,8 +82,8 @@ class BasisFactor {
   virtual bool wantRefactorize() const = 0;
 
   const FactorStats& stats() const { return stats_; }
-  /// Zeroes the counters; used after cloning a cached factor so a new solve
-  /// does not inherit the previous solve's counts.
+  /// Zeroes the counters; used at the start of every solve so a reused or
+  /// cached factor does not carry the previous solve's counts.
   void resetStats() { stats_ = FactorStats{}; }
 
  protected:

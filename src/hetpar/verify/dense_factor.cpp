@@ -12,8 +12,10 @@ namespace {
 
 class DenseInverseFactor final : public ilp::BasisFactor {
  public:
-  std::unique_ptr<ilp::BasisFactor> clone() const override {
-    return std::make_unique<DenseInverseFactor>(*this);
+  void assign(const ilp::BasisFactor& other) override {
+    const auto& from = dynamic_cast<const DenseInverseFactor&>(other);
+    m_ = from.m_;
+    binv_ = from.binv_;
   }
 
   bool factorize(const std::vector<std::vector<std::pair<int, double>>>& cols,
