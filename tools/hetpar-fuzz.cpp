@@ -29,7 +29,9 @@
 // program before being dumped as <relation>-seed<case>.c plus a matching
 // .platform file, ready to be committed as a regression fixture (the
 // verify_regressions test replays everything in the directory).
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +39,9 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "hetpar/ir/dataflow.hpp"
@@ -67,6 +72,22 @@ void usage() {
                "                   [--relations list|all] [--regression-dir d]\n"
                "                   [--report file] [--list-relations]\n"
                "                   [--inject-liveness-bug]\n");
+}
+
+/// Parses all of `text` as a finite, non-negative T. False on anything else
+/// (empty text, a sign, trailing characters, out of range), so a mistyped
+/// count can never turn a run into a silent no-op.
+template <typename T>
+bool parseNonNegative(std::string_view text, T& out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, v);
+  if (error != std::errc() || stop != end || !(v >= T{})) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  out = v;
+  return true;
 }
 
 struct CaseOutcome {
@@ -189,12 +210,23 @@ int run(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto badNumber = [&](const char* text, const char* expected) {
+      std::fprintf(stderr, "hetpar-fuzz: %s expects %s, got '%s'\n", arg.c_str(), expected,
+                   text);
+      usage();
+      return 1;
+    };
     if (arg == "--seed") {
-      opts.seed = std::strtoull(value(), nullptr, 10);
+      const char* text = value();
+      if (!parseNonNegative(text, opts.seed)) return badNumber(text, "a non-negative integer");
     } else if (arg == "--iterations") {
-      opts.iterations = std::atoi(value());
+      const char* text = value();
+      if (!parseNonNegative(text, opts.iterations))
+        return badNumber(text, "a non-negative integer");
     } else if (arg == "--time-budget") {
-      opts.timeBudgetSeconds = std::atof(value());
+      const char* text = value();
+      if (!parseNonNegative(text, opts.timeBudgetSeconds))
+        return badNumber(text, "a non-negative number of seconds");
     } else if (arg == "--relations") {
       opts.relations = value();
     } else if (arg == "--regression-dir") {
