@@ -1,5 +1,6 @@
 #include "hetpar/cost/interp.hpp"
 
+#include <climits>
 #include <cmath>
 #include <memory>
 #include <type_traits>
@@ -256,11 +257,13 @@ class Interp {
           return Value::ofFloat(l.asDouble() / r.asDouble());
         }
         require(r.i != 0, "runtime: division by zero");
+        require(l.i != LLONG_MIN || r.i != -1, "runtime: integer division overflow");
         return Value::ofInt(l.i / r.i);
       case BinaryOp::Mod:
         charge(costs_.intDiv, OpKind::IntAlu);
         require(!fl, "runtime: % requires integers");
         require(r.i != 0, "runtime: modulo by zero");
+        require(l.i != LLONG_MIN || r.i != -1, "runtime: integer modulo overflow");
         return Value::ofInt(l.i % r.i);
       case BinaryOp::Lt:
         charge(costs_.compare, OpKind::IntAlu);

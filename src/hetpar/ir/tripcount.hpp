@@ -38,6 +38,12 @@ std::optional<long long> staticTripCount(const frontend::ForStmt& loop);
 std::optional<long long> staticTripCount(const frontend::ForStmt& loop,
                                          const std::map<std::string, long long>* env);
 
+/// `l op r` in mini-C's 64-bit integer arithmetic, for + - * / % only
+/// (nullopt for any other operator). + - * wrap in two's complement; a zero
+/// divisor and LLONG_MIN / -1 (or % -1), which trap on the host, yield
+/// nullopt, so a constant folder declines them instead of crashing.
+std::optional<long long> foldIntArith(frontend::BinaryOp op, long long l, long long r);
+
 /// Evaluates an integer-constant expression (literals and + - * / % of
 /// them); nullopt if the expression involves variables or floats. The `env`
 /// overload resolves variable references through the given constant map.

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "hetpar/benchsuite/suite.hpp"
 #include "hetpar/frontend/parser.hpp"
 #include "hetpar/ir/tripcount.hpp"
+#include "hetpar/pipeline/digest.hpp"
+#include "hetpar/verify/generator.hpp"
 
 namespace hetpar::ir {
 namespace {
@@ -260,6 +263,154 @@ TEST(DataflowConstProp, SharpensInternalSections) {
   EXPECT_EQ(hull.dims[0].lo, 0);
   EXPECT_EQ(hull.dims[0].hi, 5);
   EXPECT_TRUE(s.writes.at("a").mustCover());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned results
+// ---------------------------------------------------------------------------
+
+/// Digest of every query result: liveAfter and upwardExposed of each
+/// statement in forEachStmt order, constEnvAt of each `for`, and every
+/// diagnostic with its kind, function, variable and location.
+std::string dataflowDigest(const char* source) {
+  Ctx c(source);
+  pipeline::Digest d;
+  const auto putSet = [&](const std::set<std::string>& names) {
+    d.putU64(names.size());
+    for (const auto& v : names) d.put(v);
+  };
+  for (const auto& fn : c.program.functions)
+    for (const auto& top : fn->body)
+      frontend::forEachStmt(*top, [&](frontend::Stmt& s) {
+        putSet(c.dfa->liveAfter(s));
+        putSet(c.dfa->upwardExposed(s));
+        if (s.kind != frontend::StmtKind::For) return;
+        const auto* env = c.dfa->constEnvAt(static_cast<const frontend::ForStmt&>(s));
+        d.putBool(env != nullptr);
+        if (env == nullptr) return;
+        d.putU64(env->size());
+        for (const auto& [v, k] : *env) {
+          d.put(v);
+          d.putI64(k);
+        }
+      });
+  for (const FlowDiagnostic& f : c.dfa->diagnostics()) {
+    d.putI64(static_cast<int>(f.kind));
+    d.put(f.function);
+    d.put(f.variable);
+    d.putI64(f.loc.line);
+    d.putI64(f.loc.column);
+  }
+  return d.hex();
+}
+
+// Control-flow shapes no suite kernel or generator program has: a mid-body
+// return, a `for` with neither init nor step (sema refuses `for (;;)`, so
+// its condition is the constant 1), a constant-false loop condition, a loop
+// under a constant-false `if`, a call in a loop condition (one that
+// overwrites all of `z`), a block that opens with a loop, a store that
+// covers a one-element array and a local that shadows a global.
+constexpr const char* kEdgeCases = R"(int g;
+int a[8];
+int c[1];
+int z[4];
+int bump() { g = g + 1; return g; }
+int fillZ() {
+  for (int q = 0; q < 4; q = q + 1) { z[q] = q; }
+  return 0;
+}
+int main() {
+  int n = 4;
+  int x;
+  int g = 2;
+  for (; 1;) {
+    if (a[0] > n) { return x; }
+    x = n + g;
+    a[1] = x;
+  }
+  for (int i = 0; 0; i = i + 1) { a[i] = n; }
+  if (0) {
+    for (int j = 0; j < n; j = j + 1) { a[j] = x; }
+  }
+  while (bump() < n) { a[2] = a[2] + 1; }
+  while (fillZ() > n) { a[3] = z[0]; }
+  {
+    while (x > 9) { x = x - 1; }
+    c[0] = x;
+  }
+  for (int k = 0; k < n; k = k + 1) {
+    if (n == 4) { x = k; } else { x = 0; }
+    a[k] = x;
+  }
+  return a[1] + g + z[1] + c[0];
+})";
+
+// The three clients' results on the ten suite kernels and the edge cases:
+// a change to the solver must leave every set, environment and finding
+// identical.
+TEST(Dataflow, SuiteResultsArePinned) {
+  const std::map<std::string, std::string> pinned = {
+      {"adpcm_enc", "ef98dd78c877a0770b505fb390eeca49"},
+      {"bound_value", "1ada3a129415ad05dcc227c55c36be0b"},
+      {"compress", "8e890251e8ef752456c93f24c9f77f9a"},
+      {"edge_detect", "42e96286ad43e07f91d6e5c5d6b6d749"},
+      {"filterbank", "ec8ca14d13b2ebcd364a1df304b276fb"},
+      {"fir_256", "90b3e5e119123a3bd4007c719a458b5d"},
+      {"iir_4", "9c509d091bff05d9ee3b9bc4eac9faa7"},
+      {"latnrm_32", "4a72691663d3b3e20cc77e202f0c5cf0"},
+      {"mult_10", "afe6f675c3db83cd14a732f54e74f41f"},
+      {"spectral", "8d5d9aaca5cd8f629372d48544fa975c"},
+  };
+  ASSERT_EQ(benchsuite::suite().size(), pinned.size());
+  for (const benchsuite::Benchmark& b : benchsuite::suite()) {
+    SCOPED_TRACE(b.name);
+    EXPECT_EQ(dataflowDigest(b.source), pinned.at(b.name));
+  }
+  EXPECT_EQ(dataflowDigest(kEdgeCases), "ade954a6bd7af25c9dbfec9fe990d8ea");
+}
+
+// Generator programs add helper calls, array parameters and global writes
+// through callees, which feed the call-effect paths of all three clients.
+TEST(Dataflow, GeneratorResultsArePinned) {
+  const std::vector<std::string> pinned = {
+      "6bb9def430a90e04dfb80b6429860972",  // seed 0
+      "291ee9f900ce678de0426841f4d90a0f",  // seed 1
+      "7fb7c80764d0c8cb9c2a11ecc1269ce5",  // seed 2
+      "ab9fcc472130df8da1a4b64bd682090f",  // seed 3
+      "0df9350753105c1bd113838fea5c7e21",  // seed 4
+      "95e9c4de2805f54e1046f6462aaa78d0",  // seed 5
+      "d609c5c07ca1ca920ca1a0b07070b140",  // seed 6
+      "e7e50fd461e30a0f255653e7f315f835",  // seed 7
+      "46e675560d4799d5b064c36b0cc4ba2b",  // seed 8
+      "76c4516f36c7b816002763e9b6feb278",  // seed 9
+      "6327b8083039a4622539f266fa6146d0",  // seed 10
+      "0c3aba2cecc4da4f226402888ef0a361",  // seed 11
+      "faa8c1e3b023a66f2c75c73d23367d4d",  // seed 12
+      "df0abc67252e8f7fd3e78bb7c221ac8d",  // seed 13
+      "5c23fc930e63b710f615b1a0d73d903a",  // seed 14
+      "6c9fdd0549503aeb446b0396a38a3031",  // seed 15
+      "bc4853a76d1ea1aa81cebb1b76a4b658",  // seed 16
+      "0c898f8523a580e30eab26e50ce90ea9",  // seed 17
+      "86da1b37850f789d2110153fa300d573",  // seed 18
+      "1b41737c98679cac1c4c81bed0f8d406",  // seed 19
+      "b00b03a1d90236c782e91c90ee350061",  // seed 20
+      "cf2a7ca6f6a479f0e6f7d808e07dc282",  // seed 21
+      "c49bf29e81250c349e32cb301fe2f002",  // seed 22
+      "9f08d10e0977d3c080debe3a80bc4436",  // seed 23
+      "2a562e4fba82230c2cd15c96f776f296",  // seed 24
+      "54be4d7c295f0219c999021485e9a8ab",  // seed 25
+      "632ad41fd617cbd305c1a4258e05b755",  // seed 26
+      "2818b7b9cdaaecead2b44db007175ee0",  // seed 27
+      "6f6ed79ca6f5213be9953c18100a7771",  // seed 28
+      "57dc14ecd8e1c58f9b43a2fbc2f759dd",  // seed 29
+      "f37731b3b4ede909fdf55e51e44a6d2b",  // seed 30
+      "d5a5344a5feb14f31e7e4550807aece1",  // seed 31
+  };
+  for (std::size_t seed = 0; seed < pinned.size(); ++seed) {
+    SCOPED_TRACE(seed);
+    const std::string source = verify::generateProgram(seed).render();
+    EXPECT_EQ(dataflowDigest(source.c_str()), pinned[seed]);
+  }
 }
 
 }  // namespace
