@@ -24,7 +24,11 @@ std::optional<std::pair<std::string, IvRange>> ivRangeOf(const ForStmt& loop,
   IvRange range;
   range.first = canon->start;
   range.step = canon->step;
-  range.last = canon->start + (*trip - 1) * canon->step;
+  // The last value lies between start and the bound, so the wrapping
+  // unsigned product and sum give it exactly.
+  const auto offset = static_cast<unsigned long long>(*trip - 1) *
+                      static_cast<unsigned long long>(canon->step);
+  range.last = static_cast<long long>(static_cast<unsigned long long>(canon->start) + offset);
   return std::make_pair(canon->var, range);
 }
 
