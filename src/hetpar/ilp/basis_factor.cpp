@@ -71,12 +71,14 @@ class SparseLuFactor final : public BasisFactor {
     std::vector<int> uColStart;    // size m+1
     std::vector<double> udiag;
     // Product-form etas, oldest first: basis slot etaSlot[e] was repivoted
-    // on a column w with w[slot] = etaPivot[e] and off-pivot entries
-    // etaEntries[etaStart[e], etaStart[e+1]).
+    // on a column w with w[slot] = etaPivot[e]. Eta e is the dense m-column
+    // etaCols[e*m, (e+1)*m): w's kept off-pivot entries at their rows, zero
+    // at the pivot slot and at dropped entries. etaNonzeros counts only the
+    // kept entries (plus one pivot per eta), so the refactorization trigger
+    // does not see the zeros.
     std::vector<int> etaSlot;
     std::vector<double> etaPivot;
-    std::vector<int> etaStart{0};
-    std::vector<Entry> etaEntries;
+    std::vector<double> etaCols;
     long long luNonzeros = 0;
     long long etaNonzeros = 0;
   };
@@ -112,6 +114,8 @@ class SparseLuFactor final : public BasisFactor {
   // FTRAN/BTRAN run once or twice per simplex iteration; reusing one scratch
   // vector (swapped with the caller's) keeps the hot path allocation-free.
   mutable std::vector<double> solveScratch_;
+  // BTRAN's nonzero rows of v, one bit per row.
+  mutable std::vector<std::uint64_t> nonzeroBits_;
 
   // A column's count never exceeds the m rows on well-formed input (one
   // entry per row); the clamp only keeps a malformed basis in bounds.
@@ -170,8 +174,7 @@ bool SparseLuFactor::factorize(const std::vector<std::vector<std::pair<int, doub
   lu_.m = m;
   lu_.etaSlot.clear();
   lu_.etaPivot.clear();
-  lu_.etaStart.assign(1, 0);
-  lu_.etaEntries.clear();
+  lu_.etaCols.clear();
   lu_.etaNonzeros = 0;
   lu_.prow.assign(um, -1);
   lu_.pcol.assign(um, -1);
@@ -397,29 +400,46 @@ void SparseLuFactor::ftran(std::vector<double>& v) const {
         val / lu_.udiag[static_cast<std::size_t>(k)];
   }
   v.swap(x);
-  // Product-form etas, oldest first.
+  // Product-form etas, oldest first, each a contiguous axpy. The zeros at
+  // the pivot slot and at dropped entries subtract an exact zero.
+  const auto um = static_cast<std::size_t>(m);
+  double* vd = v.data();
   for (std::size_t e = 0; e < lu_.etaSlot.size(); ++e) {
-    double& vr = v[static_cast<std::size_t>(lu_.etaSlot[e])];
-    if (vr == 0.0) continue;
-    vr /= lu_.etaPivot[e];
-    for (int k = lu_.etaStart[e]; k < lu_.etaStart[e + 1]; ++k) {
-      const auto& [i, wi] = lu_.etaEntries[static_cast<std::size_t>(k)];
-      v[static_cast<std::size_t>(i)] -= wi * vr;
-    }
+    double& slotValue = vd[lu_.etaSlot[e]];
+    if (slotValue == 0.0) continue;
+    const double vr = slotValue / lu_.etaPivot[e];
+    slotValue = vr;
+    const double* col = lu_.etaCols.data() + e * um;
+    for (std::size_t i = 0; i < um; ++i) vd[i] -= col[i] * vr;
   }
 }
 
 void SparseLuFactor::btran(std::vector<double>& v) const {
   const int m = lu_.m;
-  // Transposed etas, newest first.
-  for (std::size_t e = lu_.etaSlot.size(); e-- > 0;) {
-    const auto slot = static_cast<std::size_t>(lu_.etaSlot[e]);
-    double s = v[slot];
-    for (int k = lu_.etaStart[e]; k < lu_.etaStart[e + 1]; ++k) {
-      const auto& [i, wi] = lu_.etaEntries[static_cast<std::size_t>(k)];
-      s -= wi * v[static_cast<std::size_t>(i)];
+  // Transposed etas, newest first. Each dot product runs only over v's
+  // nonzero rows, in ascending order: the terms it skips are exact zeros.
+  if (!lu_.etaSlot.empty()) {
+    const auto um = static_cast<std::size_t>(m);
+    const std::size_t words = (um + 63) / 64;
+    std::vector<std::uint64_t>& bits = nonzeroBits_;
+    bits.assign(words, 0);
+    for (std::size_t i = 0; i < um; ++i)
+      if (v[i] != 0.0) bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+    for (std::size_t e = lu_.etaSlot.size(); e-- > 0;) {
+      const auto slot = static_cast<std::size_t>(lu_.etaSlot[e]);
+      const double* col = lu_.etaCols.data() + e * um;
+      double s = v[slot];
+      for (std::size_t wd = 0; wd < words; ++wd) {
+        for (std::uint64_t b = bits[wd]; b != 0; b &= b - 1) {
+          const std::size_t i = wd * 64 + static_cast<std::size_t>(std::countr_zero(b));
+          s -= col[i] * v[i];
+        }
+      }
+      v[slot] = s / lu_.etaPivot[e];
+      const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+      if (v[slot] != 0.0) bits[slot >> 6] |= bit;
+      else bits[slot >> 6] &= ~bit;
     }
-    v[slot] = s / lu_.etaPivot[e];
   }
   // Forward-substitute U^T: z[prow_k] from the slot-indexed costs.
   std::vector<double>& z = solveScratch_;
@@ -444,23 +464,34 @@ void SparseLuFactor::btran(std::vector<double>& v) const {
 }
 
 bool SparseLuFactor::update(int r, const std::vector<double>& w) {
-  const double pivot = w[static_cast<std::size_t>(r)];
+  const auto um = static_cast<std::size_t>(lu_.m);
+  const auto ur = static_cast<std::size_t>(r);
+  const double pivot = w[ur];
+  const double dropBelow = kDropTol * std::fabs(pivot);
+  // One pass finds wMax and writes the eta column (taken back if the pivot
+  // is rejected).
+  const std::size_t base = lu_.etaCols.size();
+  lu_.etaCols.resize(base + um);
+  double* col = lu_.etaCols.data() + base;
   double wMax = 0.0;
-  for (double x : w) wMax = std::max(wMax, std::fabs(x));
+  long long kept = 0;
+  for (std::size_t i = 0; i < um; ++i) {
+    const double x = std::fabs(w[i]);
+    wMax = std::max(wMax, x);
+    const bool keep = x > dropBelow;
+    col[i] = keep ? w[i] : 0.0;
+    kept += keep ? 1 : 0;
+  }
   // Reject pivots that are absolutely tiny or badly dominated by the rest
   // of the column: the product-form eta would amplify error by wMax/pivot.
-  if (std::fabs(pivot) < 1e-9 || std::fabs(pivot) < 1e-7 * wMax) return false;
-
-  const double dropBelow = kDropTol * std::fabs(pivot);
-  for (int i = 0; i < lu_.m; ++i) {
-    if (i == r) continue;
-    const double x = w[static_cast<std::size_t>(i)];
-    if (std::fabs(x) > dropBelow) lu_.etaEntries.emplace_back(i, x);
+  if (std::fabs(pivot) < 1e-9 || std::fabs(pivot) < 1e-7 * wMax) {
+    lu_.etaCols.resize(base);
+    return false;
   }
+  col[ur] = 0.0;  // the pivot is kept (|pivot| > dropBelow) but lives in etaPivot
   lu_.etaSlot.push_back(r);
   lu_.etaPivot.push_back(pivot);
-  lu_.etaNonzeros += static_cast<long long>(lu_.etaEntries.size()) - lu_.etaStart.back() + 1;
-  lu_.etaStart.push_back(static_cast<int>(lu_.etaEntries.size()));
+  lu_.etaNonzeros += kept;  // the off-pivot entries plus the pivot
   ++stats_.etaUpdates;
   noteFill();
   return true;

@@ -1,9 +1,9 @@
 #include "hetpar/ilp/branch_and_bound.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "hetpar/support/error.hpp"
@@ -17,14 +17,59 @@ constexpr double kIntegralityTol = 1e-6;
 
 struct BnbNode {
   // Full bound vectors (models are small enough that replaying deltas is
-  // not worth the complexity).
+  // not worth the complexity). Their buffers circulate: a child takes over
+  // its parent's or a discarded node's.
   std::vector<double> lower;
   std::vector<double> upper;
-  double parentBound;  // LP bound of the parent, for ordering/pruning
-  // Parent's optimal basis: warm start for this node's relaxation (one
-  // bound differs, so the dual-feasible parent basis re-solves in a few
-  // pivots instead of a cold two-phase run).
-  std::shared_ptr<const SimplexBasis> warmBasis;
+  double parentBound = 0.0;  // LP bound of the parent, for ordering/pruning
+  // Parent's optimal basis (a BasisPool id, -1 for none): warm start for
+  // this node's relaxation (one bound differs, so the dual-feasible parent
+  // basis re-solves in a few pivots instead of a cold two-phase run).
+  int warmBasis = -1;
+};
+
+/// The bases of one solve, each shared by the children of the node that
+/// produced it. Counted references by id, recycled through a free list, so
+/// once the pool covers the search depth a node solve allocates no basis
+/// (exporting into a recycled one reuses its vectors).
+class BasisPool {
+ public:
+  /// A cleared (invalid) basis with one reference.
+  int acquire() {
+    if (free_.empty()) {
+      free_.push_back(static_cast<int>(bases_.size()));
+      bases_.emplace_back();
+      refs_.push_back(0);
+    }
+    const int id = free_.back();
+    free_.pop_back();
+    refs_[static_cast<std::size_t>(id)] = 1;
+    bases_[static_cast<std::size_t>(id)].basicCols.clear();
+    return id;
+  }
+  int retain(int id) {
+    if (id >= 0) ++refs_[static_cast<std::size_t>(id)];
+    return id;
+  }
+  void release(int id) {
+    if (id >= 0 && --refs_[static_cast<std::size_t>(id)] == 0) free_.push_back(id);
+  }
+  /// Valid until the next acquire (which may grow the pool).
+  SimplexBasis* get(int id) {
+    return id < 0 ? nullptr : &bases_[static_cast<std::size_t>(id)];
+  }
+
+ private:
+  std::vector<SimplexBasis> bases_;
+  std::vector<int> refs_;
+  std::vector<int> free_;
+};
+
+/// Releases one reference when the node's iteration ends, however it ends.
+struct HeldBasis {
+  BasisPool& pool;
+  int id;
+  ~HeldBasis() { pool.release(id); }
 };
 
 }  // namespace
@@ -65,17 +110,32 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
   bool provenOptimal = true;
   bool sawUnbounded = false;
 
+  BasisPool bases;
+  // Bound vectors of discarded nodes, handed to the next down child.
+  std::vector<std::vector<double>> spare;
+  auto copyOf = [&spare](const std::vector<double>& from) {
+    if (spare.empty()) return from;
+    std::vector<double> out = std::move(spare.back());
+    spare.pop_back();
+    out.assign(from.begin(), from.end());
+    return out;
+  };
   std::vector<BnbNode> stack;
-  stack.push_back({rootLower, rootUpper, -kInfinity, nullptr});
+  stack.push_back({rootLower, rootUpper, -kInfinity, -1});
+  BnbNode node;
 
   while (!stack.empty()) {
     if (stats_.nodesExplored >= options_.maxNodes) {
       provenOptimal = false;
       break;
     }
-    BnbNode node = std::move(stack.back());
+    // The previous node's vectors, unless a child took them over.
+    for (std::vector<double>* v : {&node.lower, &node.upper})
+      if (v->capacity() > 0) spare.push_back(std::move(*v));
+    node = std::move(stack.back());
     stack.pop_back();
     ++stats_.nodesExplored;
+    const HeldBasis warm{bases, node.warmBasis};
 
     if (node.parentBound >= bestInternal - 1e-9) continue;  // pruned by bound
 
@@ -83,9 +143,8 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
       lp.lower[i] = node.lower[i];
       lp.upper[i] = node.upper[i];
     }
-    auto solvedBasis = std::make_shared<SimplexBasis>();
-    LpResult relax =
-        simplex.solve(lp, 0, node.warmBasis.get(), solvedBasis.get());
+    const HeldBasis solved{bases, bases.acquire()};
+    LpResult relax = simplex.solve(lp, 0, bases.get(warm.id), bases.get(solved.id));
     stats_.simplexIterations += relax.iterations;
     stats_.refactorizations += relax.factorStats.refactorizations;
     stats_.etaUpdates += relax.factorStats.etaUpdates;
@@ -115,10 +174,11 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
       }
       const auto sv = static_cast<std::size_t>(splitVar);
       const double mid = std::floor((node.lower[sv] + node.upper[sv]) / 2.0);
-      BnbNode down{node.lower, node.upper, node.parentBound, node.warmBasis};
+      BnbNode down{copyOf(node.lower), copyOf(node.upper), node.parentBound,
+                   bases.retain(warm.id)};
       down.upper[sv] = mid;
       BnbNode up{std::move(node.lower), std::move(node.upper), node.parentBound,
-                 node.warmBasis};
+                 bases.retain(warm.id)};
       up.lower[sv] = mid + 1.0;
       stack.push_back(std::move(up));
       stack.push_back(std::move(down));
@@ -162,18 +222,20 @@ Solution BranchAndBoundSolver::solve(const Model& model) {
     // (pushed last).
     const auto bv = static_cast<std::size_t>(branchVar);
     const double v = relax.x[bv];
-    BnbNode down{node.lower, node.upper, relax.objective, solvedBasis};
+    BnbNode down{copyOf(node.lower), copyOf(node.upper), relax.objective, solved.id};
     down.upper[bv] = std::floor(v);
-    BnbNode up{std::move(node.lower), std::move(node.upper), relax.objective, solvedBasis};
+    BnbNode up{std::move(node.lower), std::move(node.upper), relax.objective, solved.id};
     up.lower[bv] = std::ceil(v);
 
     const bool downFirst = (v - std::floor(v)) < 0.5;
-    if (downFirst) {
-      if (up.lower[bv] <= up.upper[bv]) stack.push_back(std::move(up));
-      if (down.lower[bv] <= down.upper[bv]) stack.push_back(std::move(down));
-    } else {
-      if (down.lower[bv] <= down.upper[bv]) stack.push_back(std::move(down));
-      if (up.lower[bv] <= up.upper[bv]) stack.push_back(std::move(up));
+    for (BnbNode* child : downFirst ? std::array{&up, &down} : std::array{&down, &up}) {
+      if (child->lower[bv] > child->upper[bv]) {
+        spare.push_back(std::move(child->lower));
+        spare.push_back(std::move(child->upper));
+        continue;
+      }
+      bases.retain(solved.id);
+      stack.push_back(std::move(*child));
     }
   }
 

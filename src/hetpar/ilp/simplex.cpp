@@ -42,11 +42,21 @@ struct Tableau {
   double tol;
   long long iterations = 0;
 
+  /// A row that can block the entering step (ratio test pass 1).
+  struct BlockingRow {
+    int row;
+    bool hitsUpper;
+    double absDelta;     // |change of the basic value per unit step|
+    double strictLimit;  // step at which it reaches its bound
+  };
+
   // Reused buffers: row residuals, a phase cost vector, the duals and the
-  // FTRAN'd entering column, and bound-shift phase 1's bookkeeping.
+  // FTRAN'd entering column, the ratio test's blocking rows, and bound-shift
+  // phase 1's bookkeeping.
   std::vector<double> rowScratch;
   std::vector<double> phaseCost;
   std::vector<double> duals, column;
+  std::vector<BlockingRow> blocking;
   std::vector<int> violated;
   std::vector<std::pair<int, std::pair<double, double>>> savedBounds;
 
@@ -428,7 +438,8 @@ LpStatus Tableau::runPhase(const std::vector<double>& cost, long long maxIterati
     // relaxed limit, the numerically best (largest) pivot. This both avoids
     // tiny unstable pivots and breaks degenerate ties, which defeats the
     // classic cycling patterns that exact-tie rules fall into with floating
-    // point.
+    // point. Pass 1 also keeps the rows that can block at all (|delta| >
+    // pivTol, finite room), so pass 2 scans only those, in row order.
     const double featol = 1e-7;
     const double pivTol = 1e-9;
     double ownRange = upper[static_cast<std::size_t>(entering)] -
@@ -436,16 +447,20 @@ LpStatus Tableau::runPhase(const std::vector<double>& cost, long long maxIterati
     if (status[static_cast<std::size_t>(entering)] == ColStatus::Free) ownRange = kInf;
 
     double relaxedLimit = ownRange;
+    blocking.clear();
     for (int i = 0; i < m; ++i) {
       const double delta = -enteringDir * w[static_cast<std::size_t>(i)];
       if (std::fabs(delta) <= pivTol) continue;
       const int bj = basic[static_cast<std::size_t>(i)];
-      double room;
-      if (delta > 0) room = upper[static_cast<std::size_t>(bj)] - xB[static_cast<std::size_t>(i)];
-      else room = xB[static_cast<std::size_t>(i)] - lower[static_cast<std::size_t>(bj)];
+      const bool hitsUpper = delta > 0;
+      const double room =
+          hitsUpper ? upper[static_cast<std::size_t>(bj)] - xB[static_cast<std::size_t>(i)]
+                    : xB[static_cast<std::size_t>(i)] - lower[static_cast<std::size_t>(bj)];
       if (!std::isfinite(room)) continue;
-      const double limit = (std::max(room, 0.0) + featol) / std::fabs(delta);
+      const double absDelta = std::fabs(delta);
+      const double limit = (std::max(room, 0.0) + featol) / absDelta;
       relaxedLimit = std::min(relaxedLimit, limit);
+      blocking.push_back({i, hitsUpper, absDelta, std::max(room, 0.0) / absDelta});
     }
 
     int leavingRow = -1;
@@ -454,30 +469,16 @@ LpStatus Tableau::runPhase(const std::vector<double>& cost, long long maxIterati
     if (std::isfinite(relaxedLimit)) {
       double bestPivot = 0.0;
       int bestIndex = -1;
-      for (int i = 0; i < m; ++i) {
-        const double delta = -enteringDir * w[static_cast<std::size_t>(i)];
-        if (std::fabs(delta) <= pivTol) continue;
-        const int bj = basic[static_cast<std::size_t>(i)];
-        double room;
-        bool hitsUpper;
-        if (delta > 0) {
-          room = upper[static_cast<std::size_t>(bj)] - xB[static_cast<std::size_t>(i)];
-          hitsUpper = true;
-        } else {
-          room = xB[static_cast<std::size_t>(i)] - lower[static_cast<std::size_t>(bj)];
-          hitsUpper = false;
-        }
-        if (!std::isfinite(room)) continue;
-        const double strictLimit = std::max(room, 0.0) / std::fabs(delta);
-        if (strictLimit > relaxedLimit) continue;
-        const bool better = bland ? (bestIndex < 0 || bj < bestIndex)
-                                  : std::fabs(delta) > bestPivot;
+      for (const BlockingRow& b : blocking) {
+        if (b.strictLimit > relaxedLimit) continue;
+        const int bj = basic[static_cast<std::size_t>(b.row)];
+        const bool better = bland ? (bestIndex < 0 || bj < bestIndex) : b.absDelta > bestPivot;
         if (better) {
-          bestPivot = std::fabs(delta);
+          bestPivot = b.absDelta;
           bestIndex = bj;
-          leavingRow = i;
-          leavingAtUpper = hitsUpper;
-          tMax = strictLimit;
+          leavingRow = b.row;
+          leavingAtUpper = b.hitsUpper;
+          tMax = b.strictLimit;
         }
       }
       // Prefer a full bound flip when the entering variable's own range is

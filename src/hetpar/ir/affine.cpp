@@ -36,6 +36,24 @@ std::optional<std::pair<std::string, IvRange>> ivRangeOf(const ForStmt& loop) {
   return ivRangeOf(loop, nullptr);
 }
 
+namespace {
+
+/// l + r, l - r or l * r; nullopt when the result leaves long long (a
+/// coefficient that does not fit has no affine form).
+std::optional<long long> checkedArith(BinaryOp op, long long l, long long r) {
+  long long out = 0;
+  bool overflow = false;
+  switch (op) {
+    case BinaryOp::Add: overflow = __builtin_add_overflow(l, r, &out); break;
+    case BinaryOp::Sub: overflow = __builtin_sub_overflow(l, r, &out); break;
+    default: overflow = __builtin_mul_overflow(l, r, &out); break;
+  }
+  if (overflow) return std::nullopt;
+  return out;
+}
+
+}  // namespace
+
 std::optional<AffineForm> liftAffine(const Expr& expr) {
   switch (expr.kind) {
     case ExprKind::IntLit:
@@ -47,7 +65,10 @@ std::optional<AffineForm> liftAffine(const Expr& expr) {
       if (e.op != UnaryOp::Neg) return std::nullopt;
       auto f = liftAffine(*e.operand);
       if (!f) return std::nullopt;
-      return AffineForm{-f->c0, -f->c1, f->c1 == 0 ? std::string() : f->iv};
+      const auto c0 = checkedArith(BinaryOp::Sub, 0, f->c0);
+      const auto c1 = checkedArith(BinaryOp::Sub, 0, f->c1);
+      if (!c0 || !c1) return std::nullopt;
+      return AffineForm{*c0, *c1, f->c1 == 0 ? std::string() : f->iv};
     }
     case ExprKind::Binary: {
       const auto& e = static_cast<const BinaryExpr&>(expr);
@@ -57,23 +78,24 @@ std::optional<AffineForm> liftAffine(const Expr& expr) {
       switch (e.op) {
         case BinaryOp::Add:
         case BinaryOp::Sub: {
-          const long long sign = e.op == BinaryOp::Add ? 1 : -1;
-          AffineForm out;
-          out.c0 = l->c0 + sign * r->c0;
+          std::optional<long long> c1;
+          std::string iv;
           if (l->isConstant()) {
-            out.c1 = sign * r->c1;
-            out.iv = r->iv;
+            c1 = checkedArith(e.op, 0, r->c1);
+            iv = r->iv;
           } else if (r->isConstant()) {
-            out.c1 = l->c1;
-            out.iv = l->iv;
+            c1 = l->c1;
+            iv = l->iv;
           } else if (l->iv == r->iv) {
-            out.c1 = l->c1 + sign * r->c1;
-            out.iv = l->iv;
+            c1 = checkedArith(e.op, l->c1, r->c1);
+            iv = l->iv;
           } else {
             return std::nullopt;  // two distinct variables
           }
-          if (out.c1 == 0) out.iv.clear();
-          return out;
+          const auto c0 = checkedArith(e.op, l->c0, r->c0);
+          if (!c0 || !c1) return std::nullopt;
+          if (*c1 == 0) iv.clear();
+          return AffineForm{*c0, *c1, std::move(iv)};
         }
         case BinaryOp::Mul: {
           const AffineForm* var = nullptr;
@@ -87,11 +109,10 @@ std::optional<AffineForm> liftAffine(const Expr& expr) {
           } else {
             return std::nullopt;  // iv * iv is not affine
           }
-          AffineForm out;
-          out.c0 = var->c0 * cst->c0;
-          out.c1 = var->c1 * cst->c0;
-          out.iv = out.c1 == 0 ? std::string() : var->iv;
-          return out;
+          const auto c0 = checkedArith(BinaryOp::Mul, var->c0, cst->c0);
+          const auto c1 = checkedArith(BinaryOp::Mul, var->c1, cst->c0);
+          if (!c0 || !c1) return std::nullopt;
+          return AffineForm{*c0, *c1, *c1 == 0 ? std::string() : var->iv};
         }
         default:
           return std::nullopt;

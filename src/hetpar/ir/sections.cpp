@@ -1,6 +1,7 @@
 #include "hetpar/ir/sections.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <numeric>
 
 #include "hetpar/ir/affine.hpp"
@@ -183,16 +184,31 @@ SectionInfo SectionAnalysis::liftAccess(const std::string& name,
       const auto it = ctx.ivs.find(form->iv);
       if (it == ctx.ivs.end()) return topSection();  // not an enclosing canonical IV
       const IvRange& r = it->second;
-      const long long e1 = form->c0 + form->c1 * r.first;
-      const long long e2 = form->c0 + form->c1 * r.last;
+      // A subscript or stride past the range of long long has no section.
+      long long e1 = 0, e2 = 0, step = 0;
+      if (__builtin_mul_overflow(form->c1, r.first, &e1) ||
+          __builtin_add_overflow(form->c0, e1, &e1) ||
+          __builtin_mul_overflow(form->c1, r.last, &e2) ||
+          __builtin_add_overflow(form->c0, e2, &e2) ||
+          __builtin_mul_overflow(form->c1, r.step, &step) || step == LLONG_MIN)
+        return topSection();
       d.lo = std::min(e1, e2);
       d.hi = std::max(e1, e2);
-      const long long step = form->c1 * r.step;
       d.stride = step < 0 ? -step : step;
       if (d.stride == 0) d.stride = 1;
-      // Clamp to the array bounds along the progression.
-      if (d.lo < 0) d.lo += (-d.lo + d.stride - 1) / d.stride * d.stride;
-      if (d.hi > extent - 1) d.hi -= (d.hi - (extent - 1) + d.stride - 1) / d.stride * d.stride;
+      // Clamp to the array bounds along the progression: whole strides up
+      // from lo, down from hi. A distance rounded up to a whole number of
+      // strides stays below 2^64, and the clamped bound lies within one
+      // stride of the array, so unsigned arithmetic gives it exactly.
+      const auto stride = static_cast<unsigned long long>(d.stride);
+      const auto strides = [stride](unsigned long long dist) {
+        return (dist + stride - 1) / stride * stride;
+      };
+      const auto ulo = static_cast<unsigned long long>(d.lo);
+      const auto uhi = static_cast<unsigned long long>(d.hi);
+      if (d.lo < 0) d.lo = static_cast<long long>(ulo + strides(0 - ulo));
+      if (d.hi > extent - 1)
+        d.hi = static_cast<long long>(uhi - strides(uhi - static_cast<unsigned long long>(extent - 1)));
       if (d.lo > d.hi) return topSection();  // fully out of bounds: give up
       usedIvs.push_back(form->iv);
     }

@@ -126,5 +126,17 @@ TEST(Affine, NonCanonicalLoopsYieldNoRange) {
       << "zero-trip loops sweep nothing";
 }
 
+TEST(Affine, CoefficientsThatOverflowHaveNoForm) {
+  EXPECT_FALSE(lift("-(-9223372036854775807 - 1)").has_value());
+  EXPECT_FALSE(lift("i * 4611686018427387904 * 2").has_value());
+  EXPECT_FALSE(lift("9223372036854775807 + i + 1").has_value());
+  EXPECT_FALSE(lift("i - (-9223372036854775807 - 1)").has_value()) << "c0 = 0 - LLONG_MIN";
+  EXPECT_FALSE(lift("0 - (-9223372036854775807 - 1) * i").has_value()) << "c1 = -LLONG_MIN";
+  const auto edge = lift("(-9223372036854775807 - 1) * i + 9223372036854775807");
+  ASSERT_TRUE(edge.has_value()) << "coefficients at the edges still fit";
+  EXPECT_EQ(edge->c0, 9223372036854775807LL);
+  EXPECT_EQ(edge->c1, -9223372036854775807LL - 1);
+}
+
 }  // namespace
 }  // namespace hetpar::ir
